@@ -3,13 +3,14 @@
 //! Times the naive reference loops against the register-blocked/packed
 //! matmul and the im2col conv1d lowering at the shapes the system actually
 //! runs hot: the GIN comparator MLP (dim 128) and ST-block channel/temporal
-//! mixing at paper-scale hidden widths. Also times one full training run
-//! both ways and reports ns per optimizer step plus the buffer-pool hit
-//! rate. Results land in `BENCH_kernels.json`.
+//! mixing at paper-scale hidden widths. Times the odometer permute against
+//! the strided kernel at the four ST-operator layouts. Also times one full
+//! training run both ways and reports ns per optimizer step plus the
+//! buffer-pool hit rate. Results land in `BENCH_kernels.json`.
 //!
-//! Exits nonzero if any fast kernel is slower than its naive reference
-//! (the CI smoke gate), or — in full mode — if matmul speedup at the
-//! GIN/ST-block shapes falls below the 3x acceptance floor.
+//! Exits nonzero if any fast kernel (permute included) is slower than its
+//! naive reference (the CI smoke gate), or — in full mode — if matmul
+//! speedup at the GIN/ST-block shapes falls below the 3x acceptance floor.
 //!
 //! ```sh
 //! cargo run --release --bin kernel_bench            # full, 3x gate
@@ -19,7 +20,7 @@
 use octs_data::{Adjacency, DatasetProfile, Domain, ForecastSetting, ForecastTask};
 use octs_model::{train_forecaster, Forecaster, FrozenForecaster, ModelDims, TrainConfig};
 use octs_space::{ArchDag, ArchHyper, HyperParams, JointSpace};
-use octs_tensor::ops::{conv, matmul};
+use octs_tensor::ops::{conv, matmul, shapeops};
 use octs_tensor::{Precision, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,6 +57,16 @@ struct ConvRow {
 }
 
 #[derive(Serialize)]
+struct PermuteRow {
+    name: String,
+    shape: Vec<usize>,
+    axes: Vec<usize>,
+    naive_ns: f64,
+    fast_ns: f64,
+    speedup: f64,
+}
+
+#[derive(Serialize)]
 struct TrainRow {
     steps: usize,
     naive_ns_per_step: f64,
@@ -81,6 +92,7 @@ struct Report {
     quick: bool,
     matmul: Vec<MatmulRow>,
     conv: Vec<ConvRow>,
+    permute: Vec<PermuteRow>,
     train_step: TrainRow,
     infer: Vec<InferRow>,
     min_matmul_speedup: f64,
@@ -233,7 +245,43 @@ fn main() {
         conv_rows.push(row);
     }
 
-    // --- 3. One full training run, naive vs fast --------------------------
+    // --- 3. Permute at the ST-operator layouts ------------------------------
+    // `[B, H, N, L]` activations: the ladder-search tasks (batch 4, H = 8,
+    // 5 nodes, 12 steps) and the deep serving fixture (H = 16, 16 nodes,
+    // 12 steps) at batch 1 and 8. The layouts are the operators' own:
+    // GDCC [0,2,1,3], DGCN/INF-S [0,3,2,1], INF-T in [0,2,3,1] and back out
+    // [0,3,1,2].
+    let permute_shapes: &[(&str, [usize; 4])] =
+        &[("ladder", [4, 8, 5, 12]), ("serve_b1", [1, 16, 16, 12]), ("serve_b8", [8, 16, 16, 12])];
+    let layouts: &[[usize; 4]] = &[[0, 2, 1, 3], [0, 3, 2, 1], [0, 2, 3, 1], [0, 3, 1, 2]];
+    let mut permute_rows = Vec::new();
+    for &(name, shape) in permute_shapes {
+        let x = Tensor::new(shape.to_vec(), filled(shape.iter().product(), 1.0));
+        for axes in layouts {
+            let naive_ns = bench_ns(target, || {
+                std::hint::black_box(shapeops::naive::permute(&x, axes));
+            });
+            let fast_ns = bench_ns(target, || {
+                std::hint::black_box(shapeops::permute(&x, axes));
+            });
+            let row = PermuteRow {
+                name: format!("{name}_{}{}{}{}", axes[0], axes[1], axes[2], axes[3]),
+                shape: shape.to_vec(),
+                axes: axes.to_vec(),
+                naive_ns,
+                fast_ns,
+                speedup: naive_ns / fast_ns,
+            };
+            eprintln!(
+                "[permute] {:<16} {shape:?} by {axes:?}  naive {naive_ns:>8.0} ns  strided \
+                 {fast_ns:>8.0} ns  {:>5.2}x",
+                row.name, row.speedup
+            );
+            permute_rows.push(row);
+        }
+    }
+
+    // --- 4. One full training run, naive vs fast --------------------------
     let profile = DatasetProfile::custom("bench", Domain::Traffic, 8, 300, 24, 0.3, 0.05, 10.0, 3);
     let task = ForecastTask::new(profile.generate(0), ForecastSetting::multi(6, 3), 0.6, 0.2, 1);
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -273,7 +321,7 @@ fn main() {
         train_step.pool_hit_rate
     );
 
-    // --- 4. Frozen-forward inference: tape vs compiled plans ---------------
+    // --- 5. Frozen-forward inference: tape vs compiled plans ---------------
     // The serving fixture shape: 3 ST-blocks at h=8 / i=16 (the output head
     // crosses the int8 quantization threshold), 8 nodes, 12-step history.
     let infer_dims = ModelDims { n: 8, f: 2, p: 12, out_steps: 3 };
@@ -329,7 +377,7 @@ fn main() {
         infer_rows.push(row);
     }
 
-    // --- 5. Gates + report ------------------------------------------------
+    // --- 6. Gates + report ------------------------------------------------
     let min_matmul_speedup = matmul_rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     let min_frozen_speedup =
         infer_rows.iter().map(|r| r.frozen_speedup).fold(f64::INFINITY, f64::min);
@@ -337,12 +385,14 @@ fn main() {
         quick,
         matmul: matmul_rows,
         conv: conv_rows,
+        permute: permute_rows,
         train_step,
         infer: infer_rows,
         min_matmul_speedup,
         min_frozen_speedup,
-        note: "naive = retained reference loops (ops::matmul::naive, ops::conv::direct); \
-               fast = register-blocked packed matmul + im2col conv1d; train row is one \
+        note: "naive = retained reference loops (ops::matmul::naive, ops::conv::direct, \
+               ops::shapeops::naive); fast = register-blocked packed matmul + im2col conv1d \
+               + strided permute; train row is one \
                full train_forecaster run divided by optimizer steps; infer rows time one \
                predict on a 3-block h=8/i=16 forecaster — tape engine vs compiled frozen \
                plans at each precision tier"
@@ -357,6 +407,14 @@ fn main() {
     }
     for r in &report.conv {
         assert!(r.speedup >= 1.0, "fast conv1d slower than naive at {}: {:.2}x", r.name, r.speedup);
+    }
+    for r in &report.permute {
+        assert!(
+            r.speedup >= 1.0,
+            "strided permute slower than naive at {}: {:.2}x",
+            r.name,
+            r.speedup
+        );
     }
     for r in &report.infer {
         assert!(

@@ -156,6 +156,13 @@ fn parse_line(line: &str) -> Option<Record> {
 mod tests {
     use super::*;
 
+    /// An empty fault plan for tests that append without faults: it waits
+    /// out `injected_io_fault_fails_exact_append`, whose process-wide plan
+    /// would otherwise fail their appends too.
+    fn quiet() -> octs_fault::FaultScope {
+        octs_fault::FaultScope::activate(octs_fault::FaultPlan::new())
+    }
+
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("octs_journal_{name}_{}", std::process::id()))
     }
@@ -173,6 +180,7 @@ mod tests {
 
     #[test]
     fn append_and_replay() {
+        let _quiet = quiet();
         let p = tmp("replay");
         std::fs::remove_file(&p).ok();
         {
@@ -191,6 +199,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_truncated() {
+        let _quiet = quiet();
         let p = tmp("torn");
         std::fs::remove_file(&p).ok();
         {
@@ -214,6 +223,7 @@ mod tests {
 
     #[test]
     fn interior_corruption_is_an_error() {
+        let _quiet = quiet();
         let p = tmp("interior");
         std::fs::remove_file(&p).ok();
         {

@@ -110,8 +110,8 @@ impl Forecaster {
                     g: &g,
                     ps: &mut self.ps,
                     h,
-                    adj_fwd: self.adj_fwd.clone(),
-                    adj_bwd: self.adj_bwd.clone(),
+                    adj_fwd: &self.adj_fwd,
+                    adj_bwd: &self.adj_bwd,
                 };
                 st_block(&self.ah.arch, &format!("blk{blk}"), &cur, hp.u, &mut ctx)
             };

@@ -16,9 +16,9 @@ pub struct OpCtx<'a> {
     /// Hidden dimension `H`.
     pub h: usize,
     /// Forward diffusion transition `D⁻¹A` as `[N, N]`.
-    pub adj_fwd: Tensor,
+    pub adj_fwd: &'a Tensor,
     /// Backward diffusion transition `D⁻¹Aᵀ` as `[N, N]`.
-    pub adj_bwd: Tensor,
+    pub adj_bwd: &'a Tensor,
 }
 
 /// Dispatches a candidate operator by kind. `name` scopes its parameters, so
@@ -165,9 +165,13 @@ mod tests {
         (adj.transition(), adj.transition_reverse())
     }
 
-    fn ctx_fixture<'a>(g: &'a Graph, ps: &'a mut ParamStore, n: usize, h: usize) -> OpCtx<'a> {
-        let (adj_fwd, adj_bwd) = path_adj(n);
-        OpCtx { g, ps, h, adj_fwd, adj_bwd }
+    fn ctx_fixture<'a>(
+        g: &'a Graph,
+        ps: &'a mut ParamStore,
+        adj: &'a (Tensor, Tensor),
+        h: usize,
+    ) -> OpCtx<'a> {
+        OpCtx { g, ps, h, adj_fwd: &adj.0, adj_bwd: &adj.1 }
     }
 
     fn input(g: &Graph, b: usize, h: usize, n: usize, l: usize) -> Var {
@@ -183,7 +187,8 @@ mod tests {
         for op in OpKind::ALL {
             let g = Graph::new();
             let mut ps = ParamStore::new(0);
-            let mut ctx = ctx_fixture(&g, &mut ps, 4, 6);
+            let adj = path_adj(4);
+            let mut ctx = ctx_fixture(&g, &mut ps, &adj, 6);
             let x = input(&g, 2, 6, 4, 5);
             let y = apply_op(op, "op", &x, &mut ctx);
             assert_eq!(y.shape(), vec![2, 6, 4, 5], "{op}");
@@ -195,7 +200,8 @@ mod tests {
     fn identity_is_exact() {
         let g = Graph::new();
         let mut ps = ParamStore::new(0);
-        let mut ctx = ctx_fixture(&g, &mut ps, 3, 4);
+        let adj = path_adj(3);
+        let mut ctx = ctx_fixture(&g, &mut ps, &adj, 4);
         let x = input(&g, 1, 4, 3, 4);
         let y = apply_op(OpKind::Identity, "id", &x, &mut ctx);
         assert_eq!(y.value(), x.value());
@@ -211,13 +217,7 @@ mod tests {
         let x = input(&g, 1, 3, 2, 6);
         let x1v = x.value();
         let y1 = {
-            let mut ctx = OpCtx {
-                g: &g,
-                ps: &mut ps,
-                h: 3,
-                adj_fwd: adj_fwd.clone(),
-                adj_bwd: adj_bwd.clone(),
-            };
+            let mut ctx = OpCtx { g: &g, ps: &mut ps, h: 3, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
             gdcc("c", &x, &mut ctx).value()
         };
 
@@ -229,7 +229,7 @@ mod tests {
             x2v.data_mut()[i * l + 5] += 10.0;
         }
         let x2 = g2.constant(x2v);
-        let mut ctx2 = OpCtx { g: &g2, ps: &mut ps, h: 3, adj_fwd, adj_bwd };
+        let mut ctx2 = OpCtx { g: &g2, ps: &mut ps, h: 3, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
         let y2 = gdcc("c", &x2, &mut ctx2).value();
         for bi in 0..1 {
             for h in 0..3 {
@@ -255,13 +255,7 @@ mod tests {
         let x = input(&g, 1, 2, 4, 2);
         let xv0 = x.value();
         let y1 = {
-            let mut ctx = OpCtx {
-                g: &g,
-                ps: &mut ps,
-                h: 2,
-                adj_fwd: adj_fwd.clone(),
-                adj_bwd: adj_bwd.clone(),
-            };
+            let mut ctx = OpCtx { g: &g, ps: &mut ps, h: 2, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
             dgcn("d", &x, &mut ctx).value()
         };
 
@@ -275,8 +269,7 @@ mod tests {
                 }
             }
             let x2 = g2.constant(xv);
-            let mut ctx2 =
-                OpCtx { g: &g2, ps, h: 2, adj_fwd: adj_fwd.clone(), adj_bwd: adj_bwd.clone() };
+            let mut ctx2 = OpCtx { g: &g2, ps, h: 2, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
             dgcn("d", &x2, &mut ctx2).value()
         };
         let y_n1 = perturb(1, &mut ps);
@@ -296,13 +289,7 @@ mod tests {
         let x = input(&g, 1, 2, 4, 2);
         let xv0 = x.value();
         let y1 = {
-            let mut ctx = OpCtx {
-                g: &g,
-                ps: &mut ps,
-                h: 2,
-                adj_fwd: adj_fwd.clone(),
-                adj_bwd: adj_bwd.clone(),
-            };
+            let mut ctx = OpCtx { g: &g, ps: &mut ps, h: 2, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
             inf_s("s", &x, &mut ctx).value()
         };
 
@@ -314,7 +301,7 @@ mod tests {
             }
         }
         let x2 = g2.constant(xv);
-        let mut ctx2 = OpCtx { g: &g2, ps: &mut ps, h: 2, adj_fwd, adj_bwd };
+        let mut ctx2 = OpCtx { g: &g2, ps: &mut ps, h: 2, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
         let y2 = inf_s("s", &x2, &mut ctx2).value();
         let d = (y2.at(&[0, 0, 0, 0]) - y1.at(&[0, 0, 0, 0])).abs();
         assert!(d > 1e-6, "attention should propagate distant-node changes");
@@ -352,7 +339,8 @@ mod tests {
             let mut last = 0.0;
             for _ in 0..30 {
                 let g = Graph::new();
-                let mut ctx = ctx_fixture(&g, &mut ps, 3, 4);
+                let adj = path_adj(3);
+                let mut ctx = ctx_fixture(&g, &mut ps, &adj, 4);
                 let x = input(&g, 1, 4, 3, 4);
                 let y = apply_op(op, "op", &x, &mut ctx);
                 let target = g.constant(Tensor::full([1, 4, 3, 4], 0.25));

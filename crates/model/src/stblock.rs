@@ -45,9 +45,18 @@ mod tests {
     use octs_space::{ArchDag, Edge, OpKind};
     use octs_tensor::{Graph, ParamStore, Tensor};
 
-    fn ctx<'a>(g: &'a Graph, ps: &'a mut ParamStore, n: usize, h: usize) -> OpCtx<'a> {
+    fn identity_adj(n: usize) -> (Tensor, Tensor) {
         let adj = Adjacency::identity(n);
-        OpCtx { g, ps, h, adj_fwd: adj.transition(), adj_bwd: adj.transition_reverse() }
+        (adj.transition(), adj.transition_reverse())
+    }
+
+    fn ctx<'a>(
+        g: &'a Graph,
+        ps: &'a mut ParamStore,
+        adj: &'a (Tensor, Tensor),
+        h: usize,
+    ) -> OpCtx<'a> {
+        OpCtx { g, ps, h, adj_fwd: &adj.0, adj_bwd: &adj.1 }
     }
 
     fn x(g: &Graph, b: usize, h: usize, n: usize, l: usize) -> Var {
@@ -68,7 +77,8 @@ mod tests {
         .unwrap();
         let g = Graph::new();
         let mut ps = ParamStore::new(0);
-        let mut c = ctx(&g, &mut ps, 3, 4);
+        let adj = identity_adj(3);
+        let mut c = ctx(&g, &mut ps, &adj, 4);
         let inp = x(&g, 1, 4, 3, 5);
         let out = st_block(&arch, "blk", &inp, 0, &mut c);
         assert_eq!(out.value(), inp.value());
@@ -87,7 +97,8 @@ mod tests {
         .unwrap();
         let g = Graph::new();
         let mut ps = ParamStore::new(0);
-        let mut c = ctx(&g, &mut ps, 3, 4);
+        let adj = identity_adj(3);
+        let mut c = ctx(&g, &mut ps, &adj, 4);
         let inp = x(&g, 1, 4, 3, 5);
         let out = st_block(&arch, "blk", &inp, 1, &mut c);
         let expect = inp.value().map(|v| v * 2.0);
@@ -108,7 +119,8 @@ mod tests {
         .unwrap();
         let g = Graph::new();
         let mut ps = ParamStore::new(0);
-        let mut c = ctx(&g, &mut ps, 3, 4);
+        let adj = identity_adj(3);
+        let mut c = ctx(&g, &mut ps, &adj, 4);
         let inp = x(&g, 1, 4, 3, 5);
         let out = st_block(&arch, "blk", &inp, 0, &mut c);
         let expect = inp.value().map(|v| v * 2.0);
@@ -123,7 +135,8 @@ mod tests {
             let arch = ArchDag::sample_admissible(5, &mut rng);
             let g = Graph::new();
             let mut ps = ParamStore::new(0);
-            let mut c = ctx(&g, &mut ps, 3, 4);
+            let adj = identity_adj(3);
+            let mut c = ctx(&g, &mut ps, &adj, 4);
             let inp = x(&g, 2, 4, 3, 6);
             let out = st_block(&arch, "blk", &inp, 1, &mut c);
             assert_eq!(out.shape(), vec![2, 4, 3, 6]);
@@ -145,7 +158,8 @@ mod tests {
         .unwrap();
         let g = Graph::new();
         let mut ps = ParamStore::new(0);
-        let mut c = ctx(&g, &mut ps, 2, 4);
+        let adj = identity_adj(2);
+        let mut c = ctx(&g, &mut ps, &adj, 4);
         let inp = x(&g, 1, 4, 2, 5);
         st_block(&arch, "blk", &inp, 0, &mut c);
         assert!(ps.get("blk/e0_1/wf").is_some());

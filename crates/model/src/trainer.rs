@@ -285,7 +285,7 @@ pub fn train_forecaster<M: CtsForecastModel + ?Sized>(
         for chunk in order.chunks(cfg.batch_size) {
             let batch = task.make_batch(chunk);
             let (g, pred) = fc.forward(&batch.x);
-            let loss = pred.mae_loss(&g.constant(batch.y.clone()));
+            let loss = pred.mae_loss(&g.constant(batch.y));
             let mut loss_val = loss.value().item();
             if octs_fault::armed() && octs_fault::nan_loss_at(epoch) {
                 loss_val = f32::NAN;

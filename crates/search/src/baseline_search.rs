@@ -160,13 +160,8 @@ pub fn supernet_search(task: &ForecastTask, cfg: &SupernetConfig) -> ArchHyper {
                 let mut mixed: Option<Var> = None;
                 for (oi, op) in OpKind::ALL.iter().enumerate() {
                     let y = {
-                        let mut ctx = OpCtx {
-                            g: &g,
-                            ps,
-                            h: cfg.h,
-                            adj_fwd: adj_fwd.clone(),
-                            adj_bwd: adj_bwd.clone(),
-                        };
+                        let mut ctx =
+                            OpCtx { g: &g, ps, h: cfg.h, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
                         apply_op(*op, &format!("sup/e{i}_{j}/{oi}"), &nodes[i], &mut ctx)
                     };
                     // weight each op output by its softmax prob, keeping α in
@@ -209,7 +204,7 @@ pub fn supernet_search(task: &ForecastTask, cfg: &SupernetConfig) -> ArchHyper {
         for chunk in pool.chunks(cfg.batch) {
             let batch = task.make_batch(chunk);
             let (g, pred) = forward(ps, &batch.x);
-            let loss = pred.mae_loss(&g.constant(batch.y.clone()));
+            let loss = pred.mae_loss(&g.constant(batch.y));
             g.backward(&loss);
             let mut grads: Vec<_> = g
                 .param_grads()

@@ -12,12 +12,16 @@
 //! - Values are dense [`Tensor`]s; there are no views, so every op
 //!   materializes its output. At AutoCTS+ model sizes this is faster than
 //!   bookkeeping for aliasing.
+//! - Ops never copy their operands: forward ops read input values through a
+//!   borrow of the tape (released before the output node is pushed), and
+//!   backward reads them in place while it moves the node's own op and
+//!   gradient out and back. Only the public [`Var::value`] hands out a copy.
 
 use crate::ops::matmul::{bmm_backward, bmm_forward, resolve_batch, BatchKind};
 use crate::ops::norm::LayerNormSaved;
 use crate::ops::{conv, elementwise as ew, norm, reduce, shapeops, softmax};
 use crate::tensor::Tensor;
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
 type Id = usize;
@@ -190,25 +194,32 @@ impl Graph {
             node.grad = Some(seed);
         }
         for i in (0..n).rev() {
-            if tape.nodes[i].grad.is_none() || !tape.nodes[i].requires {
+            if !tape.nodes[i].requires {
                 continue;
             }
-            // Take op and grad out to appease the borrow checker.
-            let op = tape.nodes[i].op.clone();
-            let dout = tape.nodes[i].grad.clone().expect("checked above");
+            let Some(dout) = tape.nodes[i].grad.take() else { continue };
+            // Move the op and gradient out while the inputs' gradients are
+            // written (every input id is below `i`), then put both back so
+            // `grad_of` still sees this node's gradient.
+            let op = std::mem::replace(&mut tape.nodes[i].op, Op::Leaf);
             backprop_one(&mut tape.nodes, i, &op, &dout);
+            let node = &mut tape.nodes[i];
+            node.op = op;
+            node.grad = Some(dout);
         }
     }
 
-    /// Collects `(name, grad)` for every named parameter leaf that received a
-    /// gradient during [`Graph::backward`].
+    /// Moves out `(name, grad)` for every named parameter leaf that received
+    /// a gradient during [`Graph::backward`]. The gradients leave the tape
+    /// rather than being copied, so a second call returns nothing and
+    /// [`Graph::grad_of`] reports `None` for those leaves afterwards.
     pub fn param_grads(&self) -> Vec<(String, Tensor)> {
-        let tape = self.tape.borrow();
+        let mut tape = self.tape.borrow_mut();
         tape.nodes
-            .iter()
-            .filter_map(|n| match (&n.param, &n.grad) {
-                (Some(name), Some(g)) => Some((name.clone(), g.clone())),
-                _ => None,
+            .iter_mut()
+            .filter_map(|n| {
+                let name = n.param.as_ref()?;
+                Some((name.clone(), n.grad.take()?))
             })
             .collect()
     }
@@ -325,15 +336,31 @@ fn accumulate(nodes: &mut [Node], id: Id, delta: &Tensor) {
     }
 }
 
-fn accumulate_raw(nodes: &mut [Node], id: Id, f: impl FnOnce(&mut [f32])) {
+/// [`accumulate`] for a freshly computed delta: an empty slot takes it by
+/// move instead of by copy.
+fn accumulate_owned(nodes: &mut [Node], id: Id, delta: Tensor) {
     if !nodes[id].requires {
         return;
     }
-    if nodes[id].grad.is_none() {
-        let shape = nodes[id].value.shape().to_vec();
-        nodes[id].grad = Some(Tensor::zeros(shape));
+    match &mut nodes[id].grad {
+        Some(g) => g.add_scaled(&delta, 1.0),
+        slot @ None => *slot = Some(delta),
     }
-    f(nodes[id].grad.as_mut().expect("just initialized").data_mut());
+}
+
+/// Accumulates in place into `id`'s gradient (zero-initialized when empty).
+/// The gradient is moved out while `f` runs, so `f` can still read any
+/// node's value.
+fn accumulate_raw(nodes: &mut [Node], id: Id, f: impl FnOnce(&[Node], &mut [f32])) {
+    if !nodes[id].requires {
+        return;
+    }
+    let mut grad = match nodes[id].grad.take() {
+        Some(g) => g,
+        None => Tensor::zeros(nodes[id].value.shape().to_vec()),
+    };
+    f(nodes, grad.data_mut());
+    nodes[id].grad = Some(grad);
 }
 
 #[allow(clippy::too_many_lines)]
@@ -346,19 +373,17 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
         }
         Op::Sub(a, b) => {
             accumulate(nodes, *a, dout);
-            let neg = dout.map(|v| -v);
-            accumulate(nodes, *b, &neg);
+            accumulate_owned(nodes, *b, dout.map(|v| -v));
         }
         Op::Mul(a, b) => {
             let da = dout.zip(&nodes[*b].value, |g, bv| g * bv);
             let db = dout.zip(&nodes[*a].value, |g, av| g * av);
-            accumulate(nodes, *a, &da);
-            accumulate(nodes, *b, &db);
+            accumulate_owned(nodes, *a, da);
+            accumulate_owned(nodes, *b, db);
         }
         Op::Div(a, b) => {
-            let bv = nodes[*b].value.clone();
-            let av = nodes[*a].value.clone();
-            let da = dout.zip(&bv, |g, b| g / b);
+            let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
+            let da = dout.zip(bv, |g, b| g / b);
             let mut db_data = crate::pool::take_empty(bv.len());
             db_data.extend(
                 dout.data()
@@ -368,13 +393,13 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
                     .map(|((&g, &a), &b)| -g * a / (b * b)),
             );
             let db = Tensor::new(bv.shape().to_vec(), db_data);
-            accumulate(nodes, *a, &da);
-            accumulate(nodes, *b, &db);
+            accumulate_owned(nodes, *a, da);
+            accumulate_owned(nodes, *b, db);
         }
         Op::AddBias(x, bias) => {
             accumulate(nodes, *x, dout);
             let d = nodes[*bias].value.len();
-            accumulate_raw(nodes, *bias, |g| {
+            accumulate_raw(nodes, *bias, |_, g| {
                 for chunk in dout.data().chunks_exact(d) {
                     for (gv, &c) in g.iter_mut().zip(chunk) {
                         *gv += c;
@@ -383,17 +408,10 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
             });
         }
         Op::AddScalar(x, _) => accumulate(nodes, *x, dout),
-        Op::MulScalar(x, s) => {
-            let dx = dout.map(|v| v * s);
-            accumulate(nodes, *x, &dx);
-        }
-        Op::Neg(x) => {
-            let dx = dout.map(|v| -v);
-            accumulate(nodes, *x, &dx);
-        }
+        Op::MulScalar(x, s) => accumulate_owned(nodes, *x, dout.map(|v| v * s)),
+        Op::Neg(x) => accumulate_owned(nodes, *x, dout.map(|v| -v)),
         Op::Matmul { a, b, kind, batch, m, k, n } => {
-            let av = nodes[*a].value.clone();
-            let bv = nodes[*b].value.clone();
+            let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
             let mut da = crate::pool::take(av.len());
             let mut db = crate::pool::take(bv.len());
             bmm_backward(
@@ -410,56 +428,50 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
             );
             let da = Tensor::new(av.shape().to_vec(), da);
             let db = Tensor::new(bv.shape().to_vec(), db);
-            accumulate(nodes, *a, &da);
-            accumulate(nodes, *b, &db);
+            accumulate_owned(nodes, *a, da);
+            accumulate_owned(nodes, *b, db);
         }
         Op::Relu(x) => {
             let dx = dout.zip(&nodes[*x].value, |g, xv| g * ew::relu_grad(xv));
-            accumulate(nodes, *x, &dx);
+            accumulate_owned(nodes, *x, dx);
         }
         Op::LeakyRelu(x, alpha) => {
             let a = *alpha;
             let dx = dout.zip(&nodes[*x].value, move |g, xv| g * ew::leaky_relu_grad(xv, a));
-            accumulate(nodes, *x, &dx);
+            accumulate_owned(nodes, *x, dx);
         }
         Op::Sigmoid(x) => {
-            let y = nodes[i].value.clone();
-            let dx = dout.zip(&y, |g, yv| g * ew::sigmoid_grad_from_output(yv));
-            accumulate(nodes, *x, &dx);
+            let dx = dout.zip(&nodes[i].value, |g, yv| g * ew::sigmoid_grad_from_output(yv));
+            accumulate_owned(nodes, *x, dx);
         }
         Op::Tanh(x) => {
-            let y = nodes[i].value.clone();
-            let dx = dout.zip(&y, |g, yv| g * ew::tanh_grad_from_output(yv));
-            accumulate(nodes, *x, &dx);
+            let dx = dout.zip(&nodes[i].value, |g, yv| g * ew::tanh_grad_from_output(yv));
+            accumulate_owned(nodes, *x, dx);
         }
         Op::Gelu(x) => {
             let dx = dout.zip(&nodes[*x].value, |g, xv| g * ew::gelu_grad(xv));
-            accumulate(nodes, *x, &dx);
+            accumulate_owned(nodes, *x, dx);
         }
         Op::Abs(x) => {
             let dx = dout.zip(&nodes[*x].value, |g, xv| g * ew::abs_grad(xv));
-            accumulate(nodes, *x, &dx);
+            accumulate_owned(nodes, *x, dx);
         }
         Op::Sqrt(x) => {
-            let y = nodes[i].value.clone();
-            let dx = dout.zip(&y, |g, yv| if yv > 0.0 { g * 0.5 / yv } else { 0.0 });
-            accumulate(nodes, *x, &dx);
+            let dx = dout.zip(&nodes[i].value, |g, yv| if yv > 0.0 { g * 0.5 / yv } else { 0.0 });
+            accumulate_owned(nodes, *x, dx);
         }
         Op::Ln(x) => {
             // forward clamps inputs to >= 1e-12; the clamped region is flat
-            let xv = nodes[*x].value.clone();
-            let dx = dout.zip(&xv, |g, v| if v > 1e-12 { g / v } else { 0.0 });
-            accumulate(nodes, *x, &dx);
+            let dx = dout.zip(&nodes[*x].value, |g, v| if v > 1e-12 { g / v } else { 0.0 });
+            accumulate_owned(nodes, *x, dx);
         }
         Op::Softmax { x, d } => {
-            let y = nodes[i].value.clone();
-            accumulate_raw(nodes, *x, |dx| {
-                softmax::softmax_backward(y.data(), dout.data(), dx, *d);
+            accumulate_raw(nodes, *x, |nodes, dx| {
+                softmax::softmax_backward(nodes[i].value.data(), dout.data(), dx, *d);
             });
         }
         Op::LayerNorm { x, gamma, beta, d, eps: _, saved } => {
-            let xv = nodes[*x].value.clone();
-            let gv = nodes[*gamma].value.clone();
+            let (xv, gv) = (&nodes[*x].value, &nodes[*gamma].value);
             let mut dx = crate::pool::take(xv.len());
             let mut dg = crate::pool::take(*d);
             let mut db = crate::pool::take(*d);
@@ -473,14 +485,14 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
                 &mut db,
                 *d,
             );
-            accumulate(nodes, *x, &Tensor::new(xv.shape().to_vec(), dx));
-            accumulate(nodes, *gamma, &Tensor::new(vec![*d], dg));
-            accumulate(nodes, *beta, &Tensor::new(vec![*d], db));
+            let dx = Tensor::new(xv.shape().to_vec(), dx);
+            accumulate_owned(nodes, *x, dx);
+            accumulate_owned(nodes, *gamma, Tensor::new(vec![*d], dg));
+            accumulate_owned(nodes, *beta, Tensor::new(vec![*d], db));
         }
         Op::Conv1d { x, w, bias, b, c_in, c_out, l, k, dilation } => {
             let bias = *bias;
-            let xv = nodes[*x].value.clone();
-            let wv = nodes[*w].value.clone();
+            let (xv, wv) = (&nodes[*x].value, &nodes[*w].value);
             let mut dx = crate::pool::take(xv.len());
             let mut dw = crate::pool::take(wv.len());
             let mut dbias = bias.map(|_| crate::pool::take(*c_out));
@@ -498,16 +510,17 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
                 *k,
                 *dilation,
             );
-            accumulate(nodes, *x, &Tensor::new(xv.shape().to_vec(), dx));
-            accumulate(nodes, *w, &Tensor::new(wv.shape().to_vec(), dw));
+            let dx = Tensor::new(xv.shape().to_vec(), dx);
+            let dw = Tensor::new(wv.shape().to_vec(), dw);
+            accumulate_owned(nodes, *x, dx);
+            accumulate_owned(nodes, *w, dw);
             if let (Some(bid), Some(db)) = (bias, dbias) {
-                accumulate(nodes, bid, &Tensor::new(vec![*c_out], db));
+                accumulate_owned(nodes, bid, Tensor::new(vec![*c_out], db));
             }
         }
         Op::Reshape(x) => {
-            let shape = nodes[*x].value.shape().to_vec();
-            let dx = dout.reshaped(shape);
-            accumulate(nodes, *x, &dx);
+            let dx = dout.reshaped(nodes[*x].value.shape());
+            accumulate_owned(nodes, *x, dx);
         }
         Op::Permute { x, axes } => {
             // Gradient permutes back with the inverse permutation.
@@ -515,18 +528,17 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
             for (new_pos, &old_axis) in axes.iter().enumerate() {
                 inv[old_axis] = new_pos;
             }
-            let dx = dout.permuted(&inv);
-            accumulate(nodes, *x, &dx);
+            accumulate_owned(nodes, *x, dout.permuted(&inv));
         }
         Op::Concat { xs, axis } => {
-            let out_shape = nodes[i].value.shape().to_vec();
+            let out_shape = nodes[i].value.shape();
             let outer: usize = out_shape[..*axis].iter().product();
             let total_axis = out_shape[*axis];
             let inner: usize = out_shape[*axis + 1..].iter().product();
             let mut axis_off = 0usize;
             for &xid in xs {
                 let d = nodes[xid].value.shape()[*axis];
-                accumulate_raw(nodes, xid, |dx| {
+                accumulate_raw(nodes, xid, |_, dx| {
                     shapeops::concat_backward_into(
                         dout.data(),
                         dx,
@@ -541,17 +553,17 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
             }
         }
         Op::SliceAxis { x, axis, start, len } => {
-            let shape = nodes[*x].value.shape().to_vec();
+            let shape = nodes[*x].value.shape();
             let outer: usize = shape[..*axis].iter().product();
             let d = shape[*axis];
             let inner: usize = shape[*axis + 1..].iter().product();
-            accumulate_raw(nodes, *x, |dx| {
+            accumulate_raw(nodes, *x, |_, dx| {
                 shapeops::slice_axis_backward_into(dout.data(), dx, outer, d, inner, *start, *len);
             });
         }
         Op::SumAll(x) => {
             let g = dout.item();
-            accumulate_raw(nodes, *x, |dx| {
+            accumulate_raw(nodes, *x, |_, dx| {
                 for v in dx.iter_mut() {
                     *v += g;
                 }
@@ -560,29 +572,26 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
         Op::MeanAll(x) => {
             let n = nodes[*x].value.len() as f32;
             let g = dout.item() / n;
-            accumulate_raw(nodes, *x, |dx| {
+            accumulate_raw(nodes, *x, |_, dx| {
                 for v in dx.iter_mut() {
                     *v += g;
                 }
             });
         }
         Op::SumAxis { x, axis } | Op::MeanAxis { x, axis } => {
-            let shape = nodes[*x].value.shape().to_vec();
+            let shape = nodes[*x].value.shape();
             let outer: usize = shape[..*axis].iter().product();
             let d = shape[*axis];
             let inner: usize = shape[*axis + 1..].iter().product();
             let scale = if matches!(op, Op::MeanAxis { .. }) { 1.0 / d as f32 } else { 1.0 };
-            accumulate_raw(nodes, *x, |dx| {
+            accumulate_raw(nodes, *x, |_, dx| {
                 reduce::broadcast_axis_backward(dout.data(), dx, outer, d, inner, scale);
             });
         }
-        Op::Dropout { x, mask } => {
-            let dx = dout.zip(mask, |g, mv| g * mv);
-            accumulate(nodes, *x, &dx);
-        }
+        Op::Dropout { x, mask } => accumulate_owned(nodes, *x, dout.zip(mask, |g, mv| g * mv)),
         Op::GatherRows { x, idx } => {
             let cols = nodes[*x].value.shape()[1];
-            accumulate_raw(nodes, *x, |dx| {
+            accumulate_raw(nodes, *x, |_, dx| {
                 for (row, &src_row) in idx.iter().enumerate() {
                     let g = &dout.data()[row * cols..(row + 1) * cols];
                     let d = &mut dx[src_row * cols..(src_row + 1) * cols];
@@ -594,22 +603,30 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
         }
         Op::BceWithLogits { logits, targets } => {
             // loss = mean over elements; dlogit = (sigmoid(z) - t) / n
-            let zv = nodes[*logits].value.clone();
+            let zv = &nodes[*logits].value;
             let n = zv.len() as f32;
             let g = dout.item() / n;
             let mut dz_data = crate::pool::take_empty(zv.len());
             dz_data.extend(
                 zv.data().iter().zip(targets.data()).map(|(&z, &t)| g * (ew::sigmoid(z) - t)),
             );
-            accumulate(nodes, *logits, &Tensor::new(zv.shape().to_vec(), dz_data));
+            let dz = Tensor::new(zv.shape().to_vec(), dz_data);
+            accumulate_owned(nodes, *logits, dz);
         }
     }
 }
 
 impl Var {
-    /// The node's current value (cloned out of the tape).
+    /// A copy of the node's current value. The ops in this module borrow
+    /// values from the tape instead of calling this.
     pub fn value(&self) -> Tensor {
-        self.graph.tape.borrow().nodes[self.id].value.clone()
+        self.val().clone()
+    }
+
+    /// Borrows the node's value from the tape. The borrow must end before
+    /// the op pushes its output node, which needs the tape mutably.
+    fn val(&self) -> Ref<'_, Tensor> {
+        Ref::map(self.graph.tape.borrow(), |t| &t.nodes[self.id].value)
     }
 
     /// Shape of the node's value.
@@ -642,64 +659,66 @@ impl Var {
 
     /// Elementwise addition (same shape).
     pub fn add(&self, other: &Var) -> Var {
-        let v = self.value().zip(&other.value(), |a, b| a + b);
+        let v = self.val().zip(&other.val(), |a, b| a + b);
         self.binary(other, v, Op::Add(self.id, other.id))
     }
 
     /// Elementwise subtraction (same shape).
     pub fn sub(&self, other: &Var) -> Var {
-        let v = self.value().zip(&other.value(), |a, b| a - b);
+        let v = self.val().zip(&other.val(), |a, b| a - b);
         self.binary(other, v, Op::Sub(self.id, other.id))
     }
 
     /// Elementwise (Hadamard) product (same shape).
     pub fn mul(&self, other: &Var) -> Var {
-        let v = self.value().zip(&other.value(), |a, b| a * b);
+        let v = self.val().zip(&other.val(), |a, b| a * b);
         self.binary(other, v, Op::Mul(self.id, other.id))
     }
 
     /// Elementwise division (same shape).
     pub fn div(&self, other: &Var) -> Var {
-        let v = self.value().zip(&other.value(), |a, b| a / b);
+        let v = self.val().zip(&other.val(), |a, b| a / b);
         self.binary(other, v, Op::Div(self.id, other.id))
     }
 
     /// Adds a rank-1 bias broadcast over the trailing dimension.
     pub fn add_bias(&self, bias: &Var) -> Var {
         self.same_graph(bias);
-        let bv = bias.value();
-        let d = bv.len();
-        let xv = self.value();
-        assert_eq!(
-            *xv.shape().last().expect("add_bias on empty tensor"),
-            d,
-            "bias length must equal trailing dim"
-        );
-        let mut out = xv.clone();
-        for chunk in out.data_mut().chunks_exact_mut(d) {
-            for (c, &b) in chunk.iter_mut().zip(bv.data()) {
-                *c += b;
+        let out = {
+            let (xv, bv) = (self.val(), bias.val());
+            let d = bv.len();
+            assert_eq!(
+                *xv.shape().last().expect("add_bias on empty tensor"),
+                d,
+                "bias length must equal trailing dim"
+            );
+            let mut out = xv.clone();
+            for chunk in out.data_mut().chunks_exact_mut(d) {
+                for (c, &b) in chunk.iter_mut().zip(bv.data()) {
+                    *c += b;
+                }
             }
-        }
+            out
+        };
         let req = self.requires() || bias.requires();
         self.graph.push(out, Op::AddBias(self.id, bias.id), req, None)
     }
 
     /// Adds a scalar constant.
     pub fn add_scalar(&self, s: f32) -> Var {
-        let v = self.value().map(|x| x + s);
+        let v = self.val().map(|x| x + s);
         self.unary(v, Op::AddScalar(self.id, s))
     }
 
     /// Multiplies by a scalar constant.
     pub fn mul_scalar(&self, s: f32) -> Var {
-        let v = self.value().map(|x| x * s);
+        let v = self.val().map(|x| x * s);
         self.unary(v, Op::MulScalar(self.id, s))
     }
 
     /// Negation.
     pub fn neg(&self) -> Var {
-        let v = self.value().map(|x| -x);
+        let v = self.val().map(|x| -x);
         self.unary(v, Op::Neg(self.id))
     }
 
@@ -707,8 +726,7 @@ impl Var {
     /// [`crate::ops::matmul::resolve_batch`] for accepted shape combinations).
     pub fn matmul(&self, other: &Var) -> Var {
         self.same_graph(other);
-        let av = self.value();
-        let bv = other.value();
+        let (av, bv) = (self.val(), other.val());
         let (kind, batch, m, k, n) = resolve_batch(av.shape(), bv.shape());
         let out_shape: Vec<usize> = match kind {
             BatchKind::Matched | BatchKind::BroadcastRhs => {
@@ -726,63 +744,65 @@ impl Var {
         };
         let mut out = Tensor::zeros(out_shape);
         bmm_forward(av.data(), bv.data(), out.data_mut(), kind, batch, m, k, n);
+        drop((av, bv));
         self.binary(other, out, Op::Matmul { a: self.id, b: other.id, kind, batch, m, k, n })
     }
 
     /// ReLU activation.
     pub fn relu(&self) -> Var {
-        let v = self.value().map(ew::relu);
+        let v = self.val().map(ew::relu);
         self.unary(v, Op::Relu(self.id))
     }
 
     /// Leaky ReLU activation.
     pub fn leaky_relu(&self, alpha: f32) -> Var {
-        let v = self.value().map(|x| ew::leaky_relu(x, alpha));
+        let v = self.val().map(|x| ew::leaky_relu(x, alpha));
         self.unary(v, Op::LeakyRelu(self.id, alpha))
     }
 
     /// Sigmoid activation.
     pub fn sigmoid(&self) -> Var {
-        let v = self.value().map(ew::sigmoid);
+        let v = self.val().map(ew::sigmoid);
         self.unary(v, Op::Sigmoid(self.id))
     }
 
     /// Tanh activation.
     pub fn tanh(&self) -> Var {
-        let v = self.value().map(ew::tanh);
+        let v = self.val().map(ew::tanh);
         self.unary(v, Op::Tanh(self.id))
     }
 
     /// GELU activation (tanh approximation).
     pub fn gelu(&self) -> Var {
-        let v = self.value().map(ew::gelu);
+        let v = self.val().map(ew::gelu);
         self.unary(v, Op::Gelu(self.id))
     }
 
     /// Elementwise absolute value.
     pub fn abs(&self) -> Var {
-        let v = self.value().map(f32::abs);
+        let v = self.val().map(f32::abs);
         self.unary(v, Op::Abs(self.id))
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
-        let v = self.value().map(f32::sqrt);
+        let v = self.val().map(f32::sqrt);
         self.unary(v, Op::Sqrt(self.id))
     }
 
     /// Elementwise natural logarithm (inputs clamped to ≥ 1e-12).
     pub fn ln(&self) -> Var {
-        let v = self.value().map(|x| x.max(1e-12).ln());
+        let v = self.val().map(|x| x.max(1e-12).ln());
         self.unary(v, Op::Ln(self.id))
     }
 
     /// Softmax over the trailing dimension.
     pub fn softmax(&self) -> Var {
-        let xv = self.value();
+        let xv = self.val();
         let d = *xv.shape().last().expect("softmax on empty tensor");
         let mut out = Tensor::zeros(xv.shape().to_vec());
         softmax::softmax_forward(xv.data(), out.data_mut(), d);
+        drop(xv);
         self.unary(out, Op::Softmax { x: self.id, d })
     }
 
@@ -790,13 +810,12 @@ impl Var {
     pub fn layer_norm(&self, gamma: &Var, beta: &Var, eps: f32) -> Var {
         self.same_graph(gamma);
         self.same_graph(beta);
-        let xv = self.value();
+        let (xv, gv, bv) = (self.val(), gamma.val(), beta.val());
         let d = *xv.shape().last().expect("layer_norm on empty tensor");
-        let gv = gamma.value();
-        let bv = beta.value();
         let mut out = Tensor::zeros(xv.shape().to_vec());
         let saved =
             norm::layernorm_forward(xv.data(), gv.data(), bv.data(), out.data_mut(), d, eps);
+        drop((xv, gv, bv));
         let req = self.requires() || gamma.requires() || beta.requires();
         self.graph.push(
             out,
@@ -813,14 +832,13 @@ impl Var {
         if let Some(b) = bias {
             self.same_graph(b);
         }
-        let xv = self.value();
-        let wv = weight.value();
+        let (xv, wv) = (self.val(), weight.val());
         assert_eq!(xv.rank(), 3, "conv1d input must be [B, C_in, L], got {:?}", xv.shape());
         assert_eq!(wv.rank(), 3, "conv1d weight must be [C_out, C_in, K], got {:?}", wv.shape());
         let (b, c_in, l) = (xv.shape()[0], xv.shape()[1], xv.shape()[2]);
         let (c_out, c_in2, k) = (wv.shape()[0], wv.shape()[1], wv.shape()[2]);
         assert_eq!(c_in, c_in2, "conv1d channel mismatch");
-        let bias_val = bias.map(Var::value);
+        let bias_val = bias.map(Var::val);
         let mut out = Tensor::zeros([b, c_out, l]);
         conv::conv1d_forward(
             xv.data(),
@@ -834,6 +852,7 @@ impl Var {
             k,
             dilation,
         );
+        drop((xv, wv, bias_val));
         let req = self.requires() || weight.requires() || bias.is_some_and(Var::requires);
         self.graph.push(
             out,
@@ -855,13 +874,13 @@ impl Var {
 
     /// Reshape (same element count).
     pub fn reshape(&self, shape: impl Into<Vec<usize>>) -> Var {
-        let v = self.value().reshaped(shape);
+        let v = self.val().reshaped(shape);
         self.unary(v, Op::Reshape(self.id))
     }
 
     /// Axis permutation (materializing).
     pub fn permute(&self, axes: &[usize]) -> Var {
-        let v = self.value().permuted(axes);
+        let v = self.val().permuted(axes);
         self.unary(v, Op::Permute { x: self.id, axes: axes.to_vec() })
     }
 
@@ -880,40 +899,42 @@ impl Var {
         for v in vars {
             vars[0].same_graph(v);
         }
-        let values: Vec<Tensor> = vars.iter().map(|v| v.value()).collect();
-        let refs: Vec<&Tensor> = values.iter().collect();
-        let out = shapeops::concat(&refs, axis);
+        let out = {
+            let values: Vec<Ref<'_, Tensor>> = vars.iter().map(|v| v.val()).collect();
+            let refs: Vec<&Tensor> = values.iter().map(|v| &**v).collect();
+            shapeops::concat(&refs, axis)
+        };
         let req = vars.iter().any(|v| v.requires());
         g.push(out, Op::Concat { xs: vars.iter().map(|v| v.id).collect(), axis }, req, None)
     }
 
     /// Slice of `len` entries starting at `start` along `axis`.
     pub fn slice_axis(&self, axis: usize, start: usize, len: usize) -> Var {
-        let v = shapeops::slice_axis(&self.value(), axis, start, len);
+        let v = shapeops::slice_axis(&self.val(), axis, start, len);
         self.unary(v, Op::SliceAxis { x: self.id, axis, start, len })
     }
 
     /// Sum of all elements (scalar `[1]`).
     pub fn sum_all(&self) -> Var {
-        let v = Tensor::scalar(self.value().sum());
+        let v = Tensor::scalar(self.val().sum());
         self.unary(v, Op::SumAll(self.id))
     }
 
     /// Mean of all elements (scalar `[1]`).
     pub fn mean_all(&self) -> Var {
-        let v = Tensor::scalar(self.value().mean());
+        let v = Tensor::scalar(self.val().mean());
         self.unary(v, Op::MeanAll(self.id))
     }
 
     /// Sum over one axis (axis removed).
     pub fn sum_axis(&self, axis: usize) -> Var {
-        let v = reduce::sum_axis(&self.value(), axis);
+        let v = reduce::sum_axis(&self.val(), axis);
         self.unary(v, Op::SumAxis { x: self.id, axis })
     }
 
     /// Mean over one axis (axis removed).
     pub fn mean_axis(&self, axis: usize) -> Var {
-        let v = reduce::mean_axis(&self.value(), axis);
+        let v = reduce::mean_axis(&self.val(), axis);
         self.unary(v, Op::MeanAxis { x: self.id, axis })
     }
 
@@ -926,18 +947,19 @@ impl Var {
         assert!(p < 1.0, "dropout p must be < 1");
         let keep = 1.0 - p;
         let scale = 1.0 / keep;
-        let xv = self.value();
+        let xv = self.val();
         let mut mask_data = crate::pool::take_empty(xv.len());
         mask_data.extend((0..xv.len()).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }));
         let mask = Tensor::new(xv.shape().to_vec(), mask_data);
         let out = xv.zip(&mask, |x, m| x * m);
+        drop(xv);
         self.unary(out, Op::Dropout { x: self.id, mask: Rc::new(mask) })
     }
 
     /// Row gather from a `[rows, cols]` matrix: output row `i` is
     /// `self[idx[i], :]` — the embedding-lookup primitive.
     pub fn gather_rows(&self, idx: &[usize]) -> Var {
-        let xv = self.value();
+        let xv = self.val();
         assert_eq!(xv.rank(), 2, "gather_rows expects a matrix");
         let cols = xv.shape()[1];
         let mut out = Tensor::zeros([idx.len(), cols]);
@@ -946,13 +968,14 @@ impl Var {
             out.data_mut()[row * cols..(row + 1) * cols]
                 .copy_from_slice(&xv.data()[src * cols..(src + 1) * cols]);
         }
+        drop(xv);
         self.unary(out, Op::GatherRows { x: self.id, idx: Rc::new(idx.to_vec()) })
     }
 
     /// Numerically-stable binary cross-entropy with logits, averaged over all
     /// elements. `targets` is a constant tensor of the same shape.
     pub fn bce_with_logits(&self, targets: &Tensor) -> Var {
-        let zv = self.value();
+        let zv = self.val();
         assert_eq!(zv.shape(), targets.shape(), "bce shapes");
         let mut acc = 0.0f32;
         for (&z, &t) in zv.data().iter().zip(targets.data()) {
@@ -960,6 +983,7 @@ impl Var {
             acc += z.max(0.0) - z * t + (-z.abs()).exp().ln_1p();
         }
         let v = Tensor::scalar(acc / zv.len() as f32);
+        drop(zv);
         self.unary(v, Op::BceWithLogits { logits: self.id, targets: targets.clone() })
     }
 
@@ -1043,6 +1067,18 @@ mod tests {
         g.backward(&loss);
         assert!(g.grad_of(&c).is_none());
         assert!((g.grad_of(&p).unwrap().item() - 5.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn grad_of_intermediate_survives_backward() {
+        let g = Graph::new();
+        let x = g.param("x", Tensor::from_slice(&[1.0, -2.0, 3.0]));
+        let h = x.mul_scalar(2.0); // intermediate node
+        let loss = h.mul(&h).sum_all(); // d loss / dh = 2h
+        g.backward(&loss);
+        assert_eq!(g.grad_of(&h).unwrap().data(), &[4.0, -8.0, 12.0]);
+        assert_eq!(g.grad_of(&loss).unwrap().data(), &[1.0]);
+        assert_eq!(g.grad_of(&x).unwrap().data(), &[8.0, -16.0, 24.0]);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! [`crate::ops::qgemm`].
 //!
 //! The frozen replay pays none of the tape's per-op costs (node pushes,
-//! `Rc<RefCell>` traffic, `Var::value()` clones, gradient bookkeeping):
-//! intermediate values live in a flat slot vector whose tensors are dropped
-//! at their last use, so their pooled buffers recycle within a single run
-//! and serving steady state allocates nothing.
+//! `Rc<RefCell>` borrows, per-pass parameter leaf copies, gradient
+//! bookkeeping): intermediate values live in a flat slot vector whose tensors
+//! are dropped at their last use, so their pooled buffers recycle within a
+//! single run and serving steady state allocates nothing. Operands are read
+//! in place (`peek!`); an op that writes its output over an operand takes
+//! that operand over at its last use and copies it only otherwise.
 //!
 //! Precision tiers:
 //! - [`Precision::Full`] — unfused replay, **byte-identical** to the tape
@@ -576,6 +578,15 @@ impl FrozenGraph {
             }
             val(slots, id)
         };
+        // `owned`, except that an operand also read by reference later in
+        // the same step (`x.add_bias(x)`) stays in its slot.
+        let owned_unless = |slots: &mut [Option<Tensor>], id: usize, also_read: usize| -> Tensor {
+            if id == also_read {
+                val(slots, id)
+            } else {
+                owned(slots, id, &self.frees[i])
+            }
+        };
         let out = match step {
             FrozenOp::Nop | FrozenOp::Const(_) => return None,
             FrozenOp::Input => input.clone(),
@@ -588,8 +599,8 @@ impl FrozenGraph {
                 peek!(*a).zip(peek!(*b), move |x, y| act.apply(x + y))
             }
             FrozenOp::AddBias { x, bias } => {
-                let bv = val(slots, *bias);
-                let mut out = owned(slots, *x, &self.frees[i]);
+                let mut out = owned_unless(slots, *x, *bias);
+                let bv = peek!(*bias);
                 let d = bv.len();
                 for chunk in out.data_mut().chunks_exact_mut(d) {
                     for (c, &b) in chunk.iter_mut().zip(bv.data()) {
@@ -599,8 +610,8 @@ impl FrozenGraph {
                 out
             }
             FrozenOp::AddBiasAct { x, bias, act } => {
-                let bv = val(slots, *bias);
-                let mut out = owned(slots, *x, &self.frees[i]);
+                let mut out = owned_unless(slots, *x, *bias);
+                let bv = peek!(*bias);
                 let d = bv.len();
                 for chunk in out.data_mut().chunks_exact_mut(d) {
                     for (c, &b) in chunk.iter_mut().zip(bv.data()) {
@@ -682,11 +693,10 @@ impl FrozenGraph {
             }
             FrozenOp::Conv1d { x, w, bias, b, c_in, c_out, l, k, dilation, act } => {
                 let mut out = Tensor::zeros([*b, *c_out, *l]);
-                let bias_t = bias.map(|id| val(slots, id));
                 conv::conv1d_forward(
                     peek!(*x).data(),
                     peek!(*w).data(),
-                    bias_t.as_ref().map(|t| t.data()),
+                    bias.map(|id| peek!(id).data()),
                     out.data_mut(),
                     *b,
                     *c_in,
@@ -709,8 +719,7 @@ impl FrozenGraph {
             }
             FrozenOp::Permute { x, axes } => peek!(*x).permuted(axes),
             FrozenOp::Concat { xs, axis } => {
-                let values: Vec<Tensor> = xs.iter().map(|&id| val(slots, id)).collect();
-                let refs: Vec<&Tensor> = values.iter().collect();
+                let refs: Vec<&Tensor> = xs.iter().map(|&id| peek!(id)).collect();
                 shapeops::concat(&refs, *axis)
             }
             FrozenOp::SliceAxis { x, axis, start, len } => {
@@ -803,6 +812,20 @@ mod tests {
         let frozen = g.freeze(&xin, &y, Precision::Fused);
         assert_eq!(frozen.fused_ops(), 1);
         assert_eq!(bits(&frozen.run(&x)), bits(&y.value()));
+    }
+
+    #[test]
+    fn bias_that_is_also_the_input_stays_readable() {
+        let x = seeded(&[6], 18);
+        let g = Graph::new();
+        let xin = g.constant(x.clone());
+        let h = xin.mul_scalar(0.5);
+        let plain = h.add_bias(&h);
+        let fused = h.add_bias(&h).relu();
+        for (y, precision) in [(&plain, Precision::Full), (&fused, Precision::Fused)] {
+            let frozen = g.freeze(&xin, y, precision);
+            assert_eq!(bits(&frozen.run(&x)), bits(&y.value()), "{precision:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,124 @@
-//! Structural ops: concat and axis slicing (forward + gradient helpers).
+//! Structural ops: axis permutation, concat and axis slicing (forward +
+//! gradient helpers).
+//!
+//! [`permute`] is the strided kernel behind `Tensor::permuted` (and so
+//! `Var::permute`, its backward, `transposed` and the frozen `Permute` step);
+//! the original per-element odometer is kept in [`naive`] as its
+//! differential-testing and benchmark reference.
 
 use crate::tensor::Tensor;
+
+/// Permutes axes into a new contiguous tensor: output axis `j` is input axis
+/// `axes[j]`.
+///
+/// Output storage is a cleared pooled buffer filled in one sequential pass
+/// (no zero-fill). Size-1 axes are dropped and output axes whose source
+/// strides line up are merged, so the walk runs over the fewest axes. The
+/// two innermost run in a tight loop: each innermost row is copied as one
+/// `extend_from_slice` when its source stride is 1, as a strided gather
+/// otherwise. The remaining outer axes advance a base offset incrementally.
+///
+/// # Panics
+/// Panics unless `axes` is a permutation of `0..x.rank()`.
+pub fn permute(x: &Tensor, axes: &[usize]) -> Tensor {
+    let shape = x.shape();
+    assert_permutation(axes, shape.len());
+    let out_shape: Vec<usize> = axes.iter().map(|&a| shape[a]).collect();
+    let mut data = crate::pool::take_empty(x.len());
+    let src = x.data();
+    if src.is_empty() {
+        return Tensor::new(out_shape, data);
+    }
+
+    // (extent, source stride) per output axis, size-1 axes dropped and
+    // adjacent axes merged where the outer one steps exactly over the inner.
+    let mut dims: Vec<(usize, usize)> = Vec::with_capacity(axes.len());
+    for &a in axes {
+        let extent = shape[a];
+        if extent == 1 {
+            continue;
+        }
+        let stride: usize = shape[a + 1..].iter().product();
+        match dims.last_mut() {
+            Some((e, s)) if *s == extent * stride => {
+                *e *= extent;
+                *s = stride;
+            }
+            _ => dims.push((extent, stride)),
+        }
+    }
+    let (run, run_stride) = dims.pop().unwrap_or((1, 1));
+    let (rows, row_stride) = dims.pop().unwrap_or((1, 0));
+    let outer = dims;
+    let mut idx = vec![0usize; outer.len()];
+    let mut base = 0usize;
+    loop {
+        for r in 0..rows {
+            let start = base + r * row_stride;
+            if run_stride == 1 {
+                data.extend_from_slice(&src[start..start + run]);
+            } else {
+                let row = &src[start..=start + (run - 1) * run_stride];
+                data.extend((0..run).map(|k| row[k * run_stride]));
+            }
+        }
+        // Advance the outer odometer, carrying the base offset with it.
+        let mut d = outer.len();
+        loop {
+            if d == 0 {
+                return Tensor::new(out_shape, data);
+            }
+            d -= 1;
+            let (extent, stride) = outer[d];
+            idx[d] += 1;
+            base += stride;
+            if idx[d] < extent {
+                break;
+            }
+            idx[d] = 0;
+            base -= extent * stride;
+        }
+    }
+}
+
+fn assert_permutation(axes: &[usize], rank: usize) {
+    assert_eq!(axes.len(), rank, "permute needs one axis per dimension");
+    let mut seen = 0u64;
+    for &a in axes {
+        assert!(a < rank && a < 64 && seen & (1 << a) == 0, "{axes:?} is not a permutation");
+        seen |= 1 << a;
+    }
+}
+
+/// Reference kernels kept for differential tests and `kernel_bench`.
+pub mod naive {
+    use crate::shape::strides_for;
+    use crate::tensor::Tensor;
+
+    /// The original permute: a per-element odometer over the output index,
+    /// writing into a zero-filled tensor.
+    pub fn permute(x: &Tensor, axes: &[usize]) -> Tensor {
+        assert_eq!(axes.len(), x.rank());
+        let new_shape: Vec<usize> = axes.iter().map(|&a| x.shape()[a]).collect();
+        let old_strides = strides_for(x.shape());
+        let new_strides_in_old: Vec<usize> = axes.iter().map(|&a| old_strides[a]).collect();
+        let mut out = Tensor::zeros(new_shape.clone());
+        let mut idx = vec![0usize; new_shape.len()];
+        for o in out.data_mut().iter_mut() {
+            let off: usize = idx.iter().zip(&new_strides_in_old).map(|(&i, &s)| i * s).sum();
+            *o = x.data()[off];
+            // increment odometer
+            for d in (0..idx.len()).rev() {
+                idx[d] += 1;
+                if idx[d] < new_shape[d] {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
+        out
+    }
+}
 
 /// Concatenates tensors along `axis`. All other dimensions must match.
 pub fn concat(xs: &[&Tensor], axis: usize) -> Tensor {

@@ -1,15 +1,18 @@
 //! Dense row-major f32 tensors.
 
-use crate::shape::{numel, strides_for};
+use crate::shape::numel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major, `f32` tensor of arbitrary rank.
 ///
 /// This is the value type flowing through the autograd [`crate::Graph`]; it is
-/// deliberately simple — owned contiguous storage, no views — because the
-/// AutoCTS+ workloads are small enough that copies are cheaper than the
-/// complexity of borrowed views.
+/// deliberately simple — owned contiguous storage, no views. Kernels borrow
+/// their operands (`&Tensor`, `&[f32]`) and write only the output they
+/// return, so a value is copied only where an op's result must be a new
+/// tensor (e.g. [`Tensor::permuted`] materializes the permuted layout in one
+/// strided pass). Callers that merely read a value should borrow it, never
+/// clone it.
 ///
 /// Storage is drawn from the thread-local [`crate::pool`] and handed back on
 /// drop, so the constructors and elementwise combinators here allocate
@@ -195,27 +198,10 @@ impl Tensor {
         self.shape = shape;
     }
 
-    /// Permutes axes, materializing a new contiguous tensor.
+    /// Permutes axes into a new contiguous tensor (the strided kernel
+    /// [`crate::ops::shapeops::permute`]).
     pub fn permuted(&self, axes: &[usize]) -> Self {
-        assert_eq!(axes.len(), self.shape.len());
-        let new_shape: Vec<usize> = axes.iter().map(|&a| self.shape[a]).collect();
-        let old_strides = strides_for(&self.shape);
-        let new_strides_in_old: Vec<usize> = axes.iter().map(|&a| old_strides[a]).collect();
-        let mut out = Tensor::zeros(new_shape.clone());
-        let mut idx = vec![0usize; new_shape.len()];
-        for o in out.data.iter_mut() {
-            let off: usize = idx.iter().zip(&new_strides_in_old).map(|(&i, &s)| i * s).sum();
-            *o = self.data[off];
-            // increment odometer
-            for d in (0..idx.len()).rev() {
-                idx[d] += 1;
-                if idx[d] < new_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-        out
+        crate::ops::shapeops::permute(self, axes)
     }
 
     /// Transposes the last two axes.

@@ -320,7 +320,7 @@ fn model_op_spec(name: &'static str, op: OpKind) -> OpSpec {
                 let (h, n) = (s[1], s[2]);
                 let mut ps = ParamStore::new(mix(seed, 0x55));
                 let (adj_fwd, adj_bwd) = path_adjacency(n);
-                let mut ctx = OpCtx { g, ps: &mut ps, h, adj_fwd, adj_bwd };
+                let mut ctx = OpCtx { g, ps: &mut ps, h, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
                 let y = apply_op(op, "op", v, &mut ctx);
                 readout(seed, g, &y)
             }),
@@ -759,7 +759,8 @@ pub fn all_specs() -> Vec<OpSpec> {
                     let s = v.shape();
                     let mut ps = ParamStore::new(mix(seed, 0x57));
                     let (adj_fwd, adj_bwd) = path_adjacency(s[2]);
-                    let mut ctx = OpCtx { g, ps: &mut ps, h: s[1], adj_fwd, adj_bwd };
+                    let mut ctx =
+                        OpCtx { g, ps: &mut ps, h: s[1], adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
                     let y = st_block(&arch, "blk", v, 1, &mut ctx);
                     readout(seed, g, &y)
                 }),

@@ -4,8 +4,10 @@
 //! fixed-seed search: the winner genotype (render string + fingerprint), the
 //! proxy-label vector (bit-exact `f32::to_bits`), the winner's validation
 //! MAE, and the deterministic slice of the observability [`Summary`] (span
-//! counts and counter totals — never timings, and never the embed/task cache
-//! split, which races under parallel ranking).
+//! counts and counter totals — never timings, never the embed/task cache
+//! split, which races under parallel ranking, and never the `tensor.pool.*`
+//! buffer-pool counters, which record what the allocator did rather than
+//! what the search decided).
 //!
 //! Fixtures live in `tests/golden/*.json`. [`check_against_fixture`] compares
 //! a fresh capture against the committed fixture and reports a structural
@@ -51,7 +53,7 @@ pub struct GoldenRun {
     pub proxy_label_bits: Vec<u64>,
     /// `f32::to_bits` of the winner's best validation MAE.
     pub best_val_mae_bits: u64,
-    /// Deterministic counter totals (cache hit/miss counters excluded).
+    /// Deterministic counter totals (cache and buffer-pool counters excluded).
     pub counters: BTreeMap<String, u64>,
     /// Span name → completed-span count (durations are never snapshotted).
     pub span_counts: BTreeMap<String, u64>,
@@ -59,12 +61,14 @@ pub struct GoldenRun {
 
 /// The deterministic slice of an obs [`Summary`]: per-name span counts and
 /// every counter except the `*_cache.{hits,misses}` split, whose partition
-/// (though not its sum) depends on thread interleaving.
+/// (though not its sum) depends on thread interleaving, and the
+/// `tensor.pool.*` counters, which depend on the host's thread count and on
+/// how many buffers the tensor kernels happen to take.
 fn stable_obs(summary: &Summary) -> (BTreeMap<String, u64>, BTreeMap<String, u64>) {
     let counters = summary
         .counters
         .iter()
-        .filter(|(name, _)| !name.contains("cache"))
+        .filter(|(name, _)| !name.contains("cache") && !name.starts_with("tensor.pool."))
         .map(|(name, v)| (name.clone(), *v))
         .collect();
     let spans = summary.spans.iter().map(|s| (s.name.clone(), s.count)).collect();
@@ -192,7 +196,7 @@ pub struct GoldenLadderRun {
     pub best_val_mae_bits: u64,
     /// Total label-training epochs the ladder paid.
     pub label_epochs: u64,
-    /// Deterministic counter totals (cache hit/miss counters excluded).
+    /// Deterministic counter totals (cache and buffer-pool counters excluded).
     pub counters: BTreeMap<String, u64>,
     /// Span name → completed-span count (durations are never snapshotted).
     pub span_counts: BTreeMap<String, u64>,

@@ -206,7 +206,7 @@ fn model_op_qspec(name: &'static str, op: OpKind, expect_quant: bool) -> QuantOp
             let (h, n) = (s[1], s[2]);
             let mut ps = ParamStore::new(mix(seed, 0x55));
             let (adj_fwd, adj_bwd) = path_adjacency(n);
-            let mut ctx = OpCtx { g, ps: &mut ps, h, adj_fwd, adj_bwd };
+            let mut ctx = OpCtx { g, ps: &mut ps, h, adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
             apply_op(op, "op", v, &mut ctx)
         },
     )
@@ -247,7 +247,8 @@ pub fn all_quant_specs() -> Vec<QuantOpSpec> {
                 let s = v.shape();
                 let mut ps = ParamStore::new(mix(seed, 0x57));
                 let (adj_fwd, adj_bwd) = path_adjacency(s[2]);
-                let mut ctx = OpCtx { g, ps: &mut ps, h: s[1], adj_fwd, adj_bwd };
+                let mut ctx =
+                    OpCtx { g, ps: &mut ps, h: s[1], adj_fwd: &adj_fwd, adj_bwd: &adj_bwd };
                 st_block(&arch, "blk", v, 1, &mut ctx)
             },
         ),

@@ -4,12 +4,15 @@
 //! in `octs-tensor` must agree with the retained naive reference loops
 //! (`ops::matmul::naive`, `ops::conv::direct`) within relative tolerance on
 //! seeded random shapes — including the degenerate ones (empty, 1×N,
-//! over-reaching dilation) where a blocking/panel bug would hide.
+//! over-reaching dilation) where a blocking/panel bug would hide. The strided
+//! permute kernel is a pure copy, so it must match `ops::shapeops::naive`
+//! bit for bit.
 //!
 //! Shapes and data are drawn from `octs_testkit::Gen`, so any failure
 //! replays from the printed seed alone.
 
-use octs_tensor::ops::{conv, matmul};
+use octs_tensor::ops::{conv, matmul, shapeops};
+use octs_tensor::Tensor;
 use octs_testkit::Gen;
 
 const SEEDS: u64 = 25;
@@ -213,4 +216,66 @@ fn fast_toggle_switches_paths() {
     matmul::naive::matmul_kernel(&a, &b, &mut reference, m, k, n);
     assert_eq!(with_naive, reference, "disabled toggle must be exactly the naive kernel");
     assert_close(7, "toggle", &with_fast, &reference);
+}
+
+/// Every permutation of `0..rank`, in lexicographic order.
+fn permutations(rank: usize) -> Vec<Vec<usize>> {
+    if rank == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for first in 0..rank {
+        for rest in permutations(rank - 1) {
+            let mut p = vec![first];
+            p.extend(rest.into_iter().map(|a| if a >= first { a + 1 } else { a }));
+            out.push(p);
+        }
+    }
+    out
+}
+
+/// Random shapes of rank 1–5 (extents 0–4, so size-1 and zero-length axes
+/// come up often) plus pinned ones: a zero-length axis in every position
+/// class, all-ones, and shapes wide enough to merge axes or gather long runs.
+fn permute_shapes(gen: &mut Gen) -> Vec<Vec<usize>> {
+    let mut shapes = vec![
+        vec![7],
+        vec![0],
+        vec![3, 0],
+        vec![0, 5, 2],
+        vec![1, 1, 1, 1],
+        vec![2, 1, 3, 1, 2],
+        vec![4, 9, 3, 12],
+        vec![17, 33],
+    ];
+    for rank in 1..=5 {
+        for _ in 0..3 {
+            shapes.push((0..rank).map(|_| gen.usize_in(0, 4)).collect());
+        }
+    }
+    shapes
+}
+
+#[test]
+fn permute_strided_is_bit_identical_to_naive_reference() {
+    for seed in 0..SEEDS {
+        let mut gen = Gen::from_seed(seed);
+        for shape in permute_shapes(&mut gen) {
+            let n: usize = shape.iter().product();
+            let mut data = fill(&mut gen, n);
+            // Payloads a value-level comparison would gloss over.
+            if n >= 2 {
+                data[0] = -0.0;
+                data[n - 1] = f32::from_bits(0x7fc0_1234);
+            }
+            let x = Tensor::new(shape.clone(), data);
+            for axes in permutations(shape.len()) {
+                let fast = shapeops::permute(&x, &axes);
+                let reference = shapeops::naive::permute(&x, &axes);
+                assert_eq!(fast.shape(), reference.shape(), "seed {seed}: {shape:?} by {axes:?}");
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&reference), "seed {seed}: {shape:?} by {axes:?}");
+            }
+        }
+    }
 }
