@@ -3,12 +3,16 @@
 //! Times the naive reference loops against the register-blocked/packed
 //! matmul and the im2col conv1d lowering at the shapes the system actually
 //! runs hot: the GIN comparator MLP (dim 128) and ST-block channel/temporal
-//! mixing at paper-scale hidden widths. Times the odometer permute against
-//! the strided kernel at the four ST-operator layouts. Also times one full
-//! training run both ways and reports ns per optimizer step plus the
-//! buffer-pool hit rate. Results land in `BENCH_kernels.json`.
+//! mixing at paper-scale hidden widths. Times the per-slice reference loops
+//! against the bit-identical small-shape kernels at the ladder-search
+//! training shapes (batched linear layers, DGCN diffusion, attention, GDCC
+//! conv). Times the odometer permute against the strided kernel at the four
+//! ST-operator layouts. Also times one full training run both ways and
+//! reports ns per optimizer step plus the buffer-pool hit rate. Results land
+//! in `BENCH_kernels.json`.
 //!
-//! Exits nonzero if any fast kernel (permute included) is slower than its
+//! Exits nonzero if any fast kernel (small-shape and permute included) is
+//! slower than its
 //! naive reference (the CI smoke gate), or — in full mode — if matmul
 //! speedup at the GIN/ST-block shapes falls below the 3x acceptance floor.
 //!
@@ -57,6 +61,15 @@ struct ConvRow {
 }
 
 #[derive(Serialize)]
+struct SmallRow {
+    name: String,
+    shape: String,
+    reference_ns: f64,
+    fast_ns: f64,
+    speedup: f64,
+}
+
+#[derive(Serialize)]
 struct PermuteRow {
     name: String,
     shape: Vec<usize>,
@@ -92,6 +105,7 @@ struct Report {
     quick: bool,
     matmul: Vec<MatmulRow>,
     conv: Vec<ConvRow>,
+    small: Vec<SmallRow>,
     permute: Vec<PermuteRow>,
     train_step: TrainRow,
     infer: Vec<InferRow>,
@@ -245,7 +259,91 @@ fn main() {
         conv_rows.push(row);
     }
 
-    // --- 3. Permute at the ST-operator layouts ------------------------------
+    // --- 3. Small shapes of the ladder-search training step ----------------
+    // Every linear layer is `[B·L, N, H] · [H, H]` (BroadcastRhs, 48 slices of
+    // 6×8·8×8), DGCN diffuses with a constant `[N, N]` transition over
+    // `[B·L, N, H]` (BroadcastLhs), attention multiplies per-slice 8×8
+    // matrices (Matched), and GDCC convolves `[B·N, H, L]` at H in {4, 8}.
+    // The reference column is the per-slice naive/direct loop.
+    let mut small_rows = Vec::new();
+    let mut small_row = |name: String, shape: String, run: &mut dyn FnMut()| {
+        matmul::set_fast_enabled(false);
+        let reference_ns = bench_ns(target, &mut *run);
+        matmul::set_fast_enabled(true);
+        let fast_ns = bench_ns(target, &mut *run);
+        let row = SmallRow { name, shape, reference_ns, fast_ns, speedup: reference_ns / fast_ns };
+        eprintln!(
+            "[small]  {:<20} {:<22} reference {:>8.0} ns  fast {:>8.0} ns  {:>5.2}x",
+            row.name, row.shape, row.reference_ns, row.fast_ns, row.speedup
+        );
+        small_rows.push(row);
+    };
+    let bmm_shapes: &[(&str, matmul::BatchKind, usize, usize, usize, usize)] = &[
+        ("linear", matmul::BatchKind::BroadcastRhs, 48, 6, 8, 8),
+        ("dgcn", matmul::BatchKind::BroadcastLhs, 48, 5, 5, 8),
+        ("attention", matmul::BatchKind::Matched, 24, 8, 8, 8),
+    ];
+    for &(name, kind, batch, m, k, n) in bmm_shapes {
+        let a_len = if kind == matmul::BatchKind::BroadcastLhs { m * k } else { batch * m * k };
+        let b_len = if kind == matmul::BatchKind::BroadcastRhs { k * n } else { batch * k * n };
+        let (a, b, g) = (filled(a_len, 1.0), filled(b_len, 1.0), filled(batch * m * n, 1.0));
+        let (mut out, mut da, mut db) =
+            (vec![0.0; batch * m * n], vec![0.0; a_len], vec![0.0; b_len]);
+        let shape = format!("{batch}x({m}x{k}x{n})");
+        small_row(format!("{name}_fwd"), shape.clone(), &mut || {
+            matmul::bmm_forward(&a, &b, &mut out, kind, batch, m, k, n);
+        });
+        small_row(format!("{name}_da"), shape.clone(), &mut || {
+            matmul::bmm_backward(&a, &b, &g, Some(&mut da), None, kind, batch, m, k, n);
+        });
+        small_row(format!("{name}_db"), shape, &mut || {
+            matmul::bmm_backward(&a, &b, &g, None, Some(&mut db), kind, batch, m, k, n);
+        });
+    }
+    for h in [4, 8] {
+        for l in [4, 6, 8] {
+            let (batch, ksize, dilation) = (20, 2, 2);
+            let x = filled(batch * h * l, 1.0);
+            let w = filled(h * h * ksize, 1.0);
+            let bias = filled(h, 0.5);
+            let g = filled(batch * h * l, 1.0);
+            let (mut out, mut dx, mut dw, mut db) =
+                (vec![0.0; batch * h * l], vec![0.0; x.len()], vec![0.0; w.len()], vec![0.0; h]);
+            let shape = format!("b{batch} {h}->{h} l{l} k{ksize} d{dilation}");
+            small_row(format!("gdcc_h{h}_l{l}_fwd"), shape.clone(), &mut || {
+                conv::conv1d_forward(
+                    &x,
+                    &w,
+                    Some(&bias),
+                    &mut out,
+                    batch,
+                    h,
+                    h,
+                    l,
+                    ksize,
+                    dilation,
+                );
+            });
+            small_row(format!("gdcc_h{h}_l{l}_bwd"), shape, &mut || {
+                conv::conv1d_backward(
+                    &x,
+                    &w,
+                    &g,
+                    Some(&mut dx),
+                    Some(&mut dw),
+                    Some(&mut db),
+                    batch,
+                    h,
+                    h,
+                    l,
+                    ksize,
+                    dilation,
+                );
+            });
+        }
+    }
+
+    // --- 4. Permute at the ST-operator layouts ------------------------------
     // `[B, H, N, L]` activations: the ladder-search tasks (batch 4, H = 8,
     // 5 nodes, 12 steps) and the deep serving fixture (H = 16, 16 nodes,
     // 12 steps) at batch 1 and 8. The layouts are the operators' own:
@@ -281,7 +379,7 @@ fn main() {
         }
     }
 
-    // --- 4. One full training run, naive vs fast --------------------------
+    // --- 5. One full training run, naive vs fast --------------------------
     let profile = DatasetProfile::custom("bench", Domain::Traffic, 8, 300, 24, 0.3, 0.05, 10.0, 3);
     let task = ForecastTask::new(profile.generate(0), ForecastSetting::multi(6, 3), 0.6, 0.2, 1);
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -321,7 +419,7 @@ fn main() {
         train_step.pool_hit_rate
     );
 
-    // --- 5. Frozen-forward inference: tape vs compiled plans ---------------
+    // --- 6. Frozen-forward inference: tape vs compiled plans ---------------
     // The serving fixture shape: 3 ST-blocks at h=8 / i=16 (the output head
     // crosses the int8 quantization threshold), 8 nodes, 12-step history.
     let infer_dims = ModelDims { n: 8, f: 2, p: 12, out_steps: 3 };
@@ -377,7 +475,7 @@ fn main() {
         infer_rows.push(row);
     }
 
-    // --- 6. Gates + report ------------------------------------------------
+    // --- 7. Gates + report ------------------------------------------------
     let min_matmul_speedup = matmul_rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     let min_frozen_speedup =
         infer_rows.iter().map(|r| r.frozen_speedup).fold(f64::INFINITY, f64::min);
@@ -385,14 +483,16 @@ fn main() {
         quick,
         matmul: matmul_rows,
         conv: conv_rows,
+        small: small_rows,
         permute: permute_rows,
         train_step,
         infer: infer_rows,
         min_matmul_speedup,
         min_frozen_speedup,
         note: "naive = retained reference loops (ops::matmul::naive, ops::conv::direct, \
-               ops::shapeops::naive); fast = register-blocked packed matmul + im2col conv1d \
-               + strided permute; train row is one \
+               ops::shapeops::naive; small rows: the per-slice loops over them); fast = \
+               register-blocked packed matmul + im2col conv1d + bit-identical small-shape \
+               matmul/conv1d kernels + strided permute; train row is one \
                full train_forecaster run divided by optimizer steps; infer rows time one \
                predict on a 3-block h=8/i=16 forecaster — tape engine vs compiled frozen \
                plans at each precision tier"
@@ -407,6 +507,14 @@ fn main() {
     }
     for r in &report.conv {
         assert!(r.speedup >= 1.0, "fast conv1d slower than naive at {}: {:.2}x", r.name, r.speedup);
+    }
+    for r in &report.small {
+        assert!(
+            r.speedup >= 1.0,
+            "small-shape kernel slower than the reference loop at {}: {:.2}x",
+            r.name,
+            r.speedup
+        );
     }
     for r in &report.permute {
         assert!(

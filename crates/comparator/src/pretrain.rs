@@ -640,6 +640,14 @@ mod tests {
     use crate::ts2vec::Ts2VecConfig;
     use octs_data::{DatasetProfile, Domain, ForecastSetting};
 
+    /// An empty fault plan for tests that pretrain without faults: it waits
+    /// out `transient_pretrain_nan_rolls_back_and_recovers`, whose
+    /// process-wide NaN would otherwise land in whichever pretraining
+    /// reaches epoch 1 first.
+    fn quiet() -> octs_fault::FaultScope {
+        octs_fault::FaultScope::activate(octs_fault::FaultPlan::new())
+    }
+
     fn tiny_tasks(n: usize) -> Vec<ForecastTask> {
         (0..n)
             .map(|i| {
@@ -755,6 +763,7 @@ mod tests {
 
     #[test]
     fn trainer_state_roundtrip_resumes_bitwise() {
+        let _quiet = quiet();
         // Epochs 0..2 + serialize + restore + epochs 2..4 must equal an
         // uninterrupted 4-epoch run: same losses, same parameters, bit for
         // bit. This is the property the crash-safe pipeline builds on.
@@ -808,6 +817,7 @@ mod tests {
 
     #[test]
     fn repeated_task_pretrain_reports_nonzero_task_cache_hits() {
+        let _quiet = quiet();
         // The full AutoCTS+ per-task search runs the comparator task-unaware
         // (prelim = None), so its task-cache counters are legitimately zero.
         // A task-aware run over repeated tasks is the regime the cache
@@ -837,6 +847,7 @@ mod tests {
 
     #[test]
     fn pretraining_improves_over_chance() {
+        let _quiet = quiet();
         let tasks = tiny_tasks(2);
         let mut emb = tiny_embedder();
         let space = JointSpace::tiny();

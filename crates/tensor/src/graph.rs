@@ -411,25 +411,30 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
         Op::MulScalar(x, s) => accumulate_owned(nodes, *x, dout.map(|v| v * s)),
         Op::Neg(x) => accumulate_owned(nodes, *x, dout.map(|v| -v)),
         Op::Matmul { a, b, kind, batch, m, k, n } => {
+            // Only operands that take a gradient get one computed.
             let (av, bv) = (&nodes[*a].value, &nodes[*b].value);
-            let mut da = crate::pool::take(av.len());
-            let mut db = crate::pool::take(bv.len());
+            let mut da = nodes[*a].requires.then(|| crate::pool::take(av.len()));
+            let mut db = nodes[*b].requires.then(|| crate::pool::take(bv.len()));
             bmm_backward(
                 av.data(),
                 bv.data(),
                 dout.data(),
-                &mut da,
-                &mut db,
+                da.as_deref_mut(),
+                db.as_deref_mut(),
                 *kind,
                 *batch,
                 *m,
                 *k,
                 *n,
             );
-            let da = Tensor::new(av.shape().to_vec(), da);
-            let db = Tensor::new(bv.shape().to_vec(), db);
-            accumulate_owned(nodes, *a, da);
-            accumulate_owned(nodes, *b, db);
+            let da = da.map(|d| Tensor::new(av.shape().to_vec(), d));
+            let db = db.map(|d| Tensor::new(bv.shape().to_vec(), d));
+            if let Some(da) = da {
+                accumulate_owned(nodes, *a, da);
+            }
+            if let Some(db) = db {
+                accumulate_owned(nodes, *b, db);
+            }
         }
         Op::Relu(x) => {
             let dx = dout.zip(&nodes[*x].value, |g, xv| g * ew::relu_grad(xv));
@@ -491,17 +496,17 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
             accumulate_owned(nodes, *beta, Tensor::new(vec![*d], db));
         }
         Op::Conv1d { x, w, bias, b, c_in, c_out, l, k, dilation } => {
-            let bias = *bias;
+            let bias = bias.filter(|&id| nodes[id].requires);
             let (xv, wv) = (&nodes[*x].value, &nodes[*w].value);
-            let mut dx = crate::pool::take(xv.len());
-            let mut dw = crate::pool::take(wv.len());
+            let mut dx = nodes[*x].requires.then(|| crate::pool::take(xv.len()));
+            let mut dw = nodes[*w].requires.then(|| crate::pool::take(wv.len()));
             let mut dbias = bias.map(|_| crate::pool::take(*c_out));
             conv::conv1d_backward(
                 xv.data(),
                 wv.data(),
                 dout.data(),
-                &mut dx,
-                &mut dw,
+                dx.as_deref_mut(),
+                dw.as_deref_mut(),
                 dbias.as_deref_mut(),
                 *b,
                 *c_in,
@@ -510,10 +515,14 @@ fn backprop_one(nodes: &mut [Node], i: Id, op: &Op, dout: &Tensor) {
                 *k,
                 *dilation,
             );
-            let dx = Tensor::new(xv.shape().to_vec(), dx);
-            let dw = Tensor::new(wv.shape().to_vec(), dw);
-            accumulate_owned(nodes, *x, dx);
-            accumulate_owned(nodes, *w, dw);
+            let dx = dx.map(|d| Tensor::new(xv.shape().to_vec(), d));
+            let dw = dw.map(|d| Tensor::new(wv.shape().to_vec(), d));
+            if let Some(dx) = dx {
+                accumulate_owned(nodes, *x, dx);
+            }
+            if let Some(dw) = dw {
+                accumulate_owned(nodes, *w, dw);
+            }
             if let (Some(bid), Some(db)) = (bias, dbias) {
                 accumulate_owned(nodes, bid, Tensor::new(vec![*c_out], db));
             }
@@ -1067,6 +1076,51 @@ mod tests {
         g.backward(&loss);
         assert!(g.grad_of(&c).is_none());
         assert!((g.grad_of(&p).unwrap().item() - 5.0).abs() < 1e-6);
+
+        // Matmul (one case per batch kind) and conv1d skip the constant
+        // side's gradient; the other side's gradient must be bit-identical
+        // to a run where both sides are parameters.
+        let vals = |n: usize| (0..n).map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.3).collect::<Vec<_>>();
+        let cases: [(&[usize], &[usize], usize); 4] = [
+            (&[3, 4], &[2, 4, 5], 0),    // BroadcastLhs, like dgcn's transitions
+            (&[2, 3, 4], &[4, 5], 0),    // BroadcastRhs
+            (&[2, 3, 4], &[2, 4, 5], 0), // Matched
+            (&[2, 3, 6], &[4, 3, 2], 2), // conv1d: x [B, C_in, L], w [C_out, C_in, K]
+        ];
+        for (ls, rs, dilation) in cases {
+            let lhs = Tensor::new(ls.to_vec(), vals(ls.iter().product()));
+            let rhs =
+                Tensor::new(rs.to_vec(), vals(rs.iter().product::<usize>() + 3)[3..].to_vec());
+            let run = |const_side: Option<usize>| {
+                let g = Graph::new();
+                let side = |i: usize, t: &Tensor| {
+                    if const_side == Some(i) {
+                        g.constant(t.clone())
+                    } else {
+                        g.param(format!("p{i}"), t.clone())
+                    }
+                };
+                let (l, r) = (side(0, &lhs), side(1, &rhs));
+                let y = if dilation > 0 { l.conv1d(&r, None, dilation) } else { l.matmul(&r) };
+                g.backward(&y.mul(&y).sum_all());
+                [g.grad_of(&l), g.grad_of(&r)]
+            };
+            let bits = |t: &Option<Tensor>| {
+                t.as_ref()
+                    .expect("param grad")
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            let both = run(None);
+            for side in 0..2 {
+                let grads = run(Some(side));
+                assert!(grads[side].is_none(), "{ls:?} x {rs:?}: constant side {side} got a grad");
+                let other = 1 - side;
+                assert_eq!(bits(&grads[other]), bits(&both[other]), "{ls:?} x {rs:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,25 +6,35 @@
 //! length equals the input length. This is the temporal convolution used by
 //! the GDCC operator (Graph WaveNet-style gated dilated causal conv).
 //!
+//! ## Small shapes: bit-identical register tiles
+//! Below [`DIRECT_MAX_WORK`] the `small` kernels run. The forward pass and
+//! the input gradient keep a row of time steps per channel in registers
+//! across all taps, the weight gradient a row of output channels; lanes a
+//! tap does not reach are masked. Each element gets the reference loops'
+//! arithmetic in their order, so the output is bit-identical to [`direct`].
+//!
 //! ## im2col lowering
-//! Above [`DIRECT_MAX_WORK`] the convolution is lowered onto the packed
+//! From [`DIRECT_MAX_WORK`] up the convolution is lowered onto the packed
 //! matmul kernels: each batch element's zero-padded input is unrolled into a
 //! `(C_in·K) × L` column matrix (`im2col`), so the forward pass becomes
 //! `W[C_out × C_in·K] · cols`, the weight gradient becomes `dOut · colsᵀ` and
 //! the input gradient scatters `Wᵀ · dOut` back through `col2im`. The column
 //! scratch comes from the thread-local [`crate::pool`] and is reused across
-//! the batch, so steady-state conv calls allocate nothing.
+//! the batch, so steady-state conv calls allocate nothing. This path is only
+//! tolerance-close to the direct loops.
 //!
-//! Small shapes keep the original direct loops (retained in [`direct`]),
-//! where the unroll-and-multiply detour costs more than it saves.
+//! ## Reference path
+//! The original nested loops are kept in [`direct`]: the test and bench
+//! reference, and what `matmul::set_fast_enabled(false)` runs.
 
 /// Work bound (`C_out · C_in · K · L` multiply-adds per batch element) below
-/// which the direct nested loops beat the im2col + packed-matmul detour.
+/// which the small-shape kernels beat the im2col + packed-matmul detour.
 const DIRECT_MAX_WORK: usize = 4096;
 
 /// Reference direct kernels: the original nested loops. Every weight tap is
 /// applied (no zero-weight skip), matching IEEE product semantics over the
-/// valid (unpadded) input range.
+/// valid (unpadded) input range. Only the test/bench reference and the
+/// `set_fast_enabled(false)` path run them.
 pub mod direct {
     /// Forward causal dilated conv1d. `out` must be zero-filled by the caller.
     #[allow(clippy::too_many_arguments)]
@@ -115,6 +125,421 @@ pub mod direct {
     }
 }
 
+/// Small-shape kernels, bit-identical to [`direct`].
+///
+/// The forward pass and the input gradient hold one row of up to `W` time
+/// steps per output channel (input channel) in registers across all
+/// `(C_in, K)` (`(C_out, K)`) taps, `ROWS` rows at a time; the weight
+/// gradient holds `W` output channels of one `(c_in, k)` dot product and
+/// adds it to a transposed copy of `dw` once per batch element. Each
+/// element sees the reference arithmetic in the reference order (separate
+/// multiply and add, taps in loop order). Lanes a tap does not reach are
+/// masked, not added: adding a zero-padded product would flip `-0.0` to
+/// `0.0` and let an `inf`/NaN weight times the padding poison the result.
+mod small {
+    use crate::ops::matmul::{Isa, Kernel};
+
+    /// Rows (channels) per register tile.
+    const ROWS: usize = 4;
+
+    /// Geometry of one call.
+    #[derive(Clone, Copy)]
+    pub(super) struct Shape {
+        pub b: usize,
+        pub c_in: usize,
+        pub c_out: usize,
+        pub l: usize,
+        pub ksize: usize,
+        pub dilation: usize,
+    }
+
+    impl Shape {
+        /// Offset between an output step and the input step tap `k` reads.
+        fn shift(&self, k: usize) -> usize {
+            (self.ksize - 1 - k) * self.dilation
+        }
+    }
+
+    /// Register tile width for `len` lanes on a tier with `lanes`-wide
+    /// registers; longer rows are split into chunks of this width.
+    fn width(len: usize, lanes: usize) -> usize {
+        if len > 8 && lanes >= 16 {
+            16
+        } else if len > 4 {
+            8
+        } else {
+            4
+        }
+    }
+
+    /// `HALVES[16 - lo + t]` is all ones exactly when `t >= lo`, and
+    /// `HALVES[32 - hi + t]` exactly when `t < hi` (for `lo, hi <= 16`).
+    /// Reading the masks from memory keeps them opaque, so the select below
+    /// stays one vector operation instead of being folded lane by lane.
+    static HALVES: [u32; 48] = {
+        let mut h = [0u32; 48];
+        let mut i = 16;
+        while i < 32 {
+            h[i] = !0;
+            i += 1;
+        }
+        h
+    };
+
+    /// The lanes `lo..hi` as a bit mask, or `None` when that range covers
+    /// every lane that is stored (`0..tw`).
+    #[inline(always)]
+    fn lane_mask<const W: usize>(lo: usize, hi: usize, tw: usize) -> Option<[u32; W]> {
+        (lo > 0 || hi < tw).then(|| {
+            let ge: &[u32; W] = HALVES[16 - lo.min(16)..][..W].try_into().expect("mask width");
+            let lt: &[u32; W] = HALVES[32 - hi.min(16)..][..W].try_into().expect("mask width");
+            std::array::from_fn(|t| ge[t] & lt[t])
+        })
+    }
+
+    /// `acc[t] += w * v[t]` on the lanes in `mask` (all when `None`); the
+    /// others keep their value (a bitwise select, so no lane outside the
+    /// mask is ever rounded).
+    #[inline(always)]
+    fn madd_masked<const W: usize>(
+        acc: &mut [f32; W],
+        w: f32,
+        v: &[f32; W],
+        mask: &Option<[u32; W]>,
+    ) {
+        match mask {
+            None => {
+                for (o, &x) in acc.iter_mut().zip(v) {
+                    *o += w * x;
+                }
+            }
+            Some(keep) => {
+                for ((o, &x), &m) in acc.iter_mut().zip(v).zip(keep) {
+                    let sum = (*o + w * x).to_bits();
+                    *o = f32::from_bits((sum & m) | (o.to_bits() & !m));
+                }
+            }
+        }
+    }
+
+    /// `src[start + t]` for lanes `t` in `0..W`, where `start` counts
+    /// `back` elements before `from`. One plain load when the whole range is
+    /// inside `src`; otherwise lanes outside it read `0`. Callers mask the
+    /// lanes that fall outside their row, so what those hold never matters.
+    #[inline(always)]
+    fn lanes_at<const W: usize>(src: &[f32], from: usize, back: usize) -> [f32; W] {
+        match from.checked_sub(back) {
+            Some(start) if start + W <= src.len() => {
+                src[start..start + W].try_into().expect("lane count")
+            }
+            _ => std::array::from_fn(|t| {
+                (from + t).checked_sub(back).and_then(|i| src.get(i)).copied().unwrap_or(0.0)
+            }),
+        }
+    }
+
+    /// The first `src.len() <= W` lanes from `src`, the rest `0`.
+    #[inline(always)]
+    fn load_row<const W: usize>(src: &[f32]) -> [f32; W] {
+        match src.try_into() {
+            Ok(full) => full,
+            Err(_) => std::array::from_fn(|t| src.get(t).copied().unwrap_or(0.0)),
+        }
+    }
+
+    /// Stores the first `dst.len() <= W` lanes of `v`.
+    #[inline(always)]
+    fn store_row<const W: usize>(dst: &mut [f32], v: &[f32; W]) {
+        if dst.len() == W {
+            dst.copy_from_slice(v);
+        } else {
+            // Lane by lane: a length-dependent copy would become a memcpy call.
+            for (t, &x) in v.iter().enumerate() {
+                if let Some(d) = dst.get_mut(t) {
+                    *d = x;
+                }
+            }
+        }
+    }
+
+    /// Forward causal dilated conv1d: `out += conv(x, w)`, then `+ bias`.
+    pub(super) fn forward(x: &[f32], w: &[f32], bias: Option<&[f32]>, out: &mut [f32], sh: Shape) {
+        Isa::current().run(Forward { x, w, bias, out, sh });
+    }
+
+    struct Forward<'a> {
+        x: &'a [f32],
+        w: &'a [f32],
+        bias: Option<&'a [f32]>,
+        out: &'a mut [f32],
+        sh: Shape,
+    }
+
+    impl Kernel for Forward<'_> {
+        #[inline(always)]
+        fn run(self, lanes: usize) {
+            let Forward { x, w, bias, out, sh } = self;
+            match width(sh.l, lanes) {
+                4 => forward_w::<4>(x, w, bias, out, sh),
+                8 => forward_w::<8>(x, w, bias, out, sh),
+                _ => forward_w::<16>(x, w, bias, out, sh),
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn forward_w<const W: usize>(
+        x: &[f32],
+        w: &[f32],
+        bias: Option<&[f32]>,
+        out: &mut [f32],
+        sh: Shape,
+    ) {
+        let Shape { b, c_in, c_out, l, .. } = sh;
+        for bi in 0..b {
+            // Taps read `x` through the whole batch, so only the very first
+            // and last rows need a lane-by-lane load.
+            let xb = (x, bi * c_in * l);
+            let ob = &mut out[bi * c_out * l..][..c_out * l];
+            for t0 in (0..l).step_by(W) {
+                let mut co = 0;
+                while co + ROWS <= c_out {
+                    forward_tile::<ROWS, W>(xb, w, bias, ob, sh, co, t0);
+                    co += ROWS;
+                }
+                while co < c_out {
+                    forward_tile::<1, W>(xb, w, bias, ob, sh, co, t0);
+                    co += 1;
+                }
+            }
+        }
+    }
+
+    /// Output channels `co0 .. co0 + RR`, time steps `t0 .. t0 + W`; `xb`
+    /// is `x` and the offset of this batch element.
+    #[inline(always)]
+    fn forward_tile<const RR: usize, const W: usize>(
+        (x, xoff): (&[f32], usize),
+        w: &[f32],
+        bias: Option<&[f32]>,
+        ob: &mut [f32],
+        sh: Shape,
+        co0: usize,
+        t0: usize,
+    ) {
+        let Shape { c_in, l, ksize, .. } = sh;
+        let tw = W.min(l - t0);
+        let mut acc: [[f32; W]; RR] =
+            std::array::from_fn(|r| load_row(&ob[(co0 + r) * l + t0..][..tw]));
+        for ci in 0..c_in {
+            for k in 0..ksize {
+                // Output step t takes this tap only from t = shift on.
+                let shift = sh.shift(k);
+                if shift >= t0 + tw {
+                    continue;
+                }
+                let v = lanes_at::<W>(x, xoff + ci * l + t0, shift);
+                let mask = lane_mask::<W>(shift.saturating_sub(t0), W, tw);
+                for (r, a) in acc.iter_mut().enumerate() {
+                    madd_masked(a, w[((co0 + r) * c_in + ci) * ksize + k], &v, &mask);
+                }
+            }
+        }
+        for (r, a) in acc.iter_mut().enumerate() {
+            if let Some(bias) = bias {
+                let bv = bias[co0 + r];
+                for o in a.iter_mut() {
+                    *o += bv;
+                }
+            }
+            store_row(&mut ob[(co0 + r) * l + t0..][..tw], a);
+        }
+    }
+
+    /// Input gradient: `dx[ci, s] += Σ_{co, k} dout[co, s + shift_k] · w[co, ci, k]`,
+    /// `co` outer and `k` inner, like the reference loop.
+    pub(super) fn backward_dx(w: &[f32], dout: &[f32], dx: &mut [f32], sh: Shape) {
+        Isa::current().run(BackwardDx { w, dout, dx, sh });
+    }
+
+    struct BackwardDx<'a> {
+        w: &'a [f32],
+        dout: &'a [f32],
+        dx: &'a mut [f32],
+        sh: Shape,
+    }
+
+    impl Kernel for BackwardDx<'_> {
+        #[inline(always)]
+        fn run(self, lanes: usize) {
+            let BackwardDx { w, dout, dx, sh } = self;
+            match width(sh.l, lanes) {
+                4 => backward_dx_w::<4>(w, dout, dx, sh),
+                8 => backward_dx_w::<8>(w, dout, dx, sh),
+                _ => backward_dx_w::<16>(w, dout, dx, sh),
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn backward_dx_w<const W: usize>(w: &[f32], dout: &[f32], dx: &mut [f32], sh: Shape) {
+        let Shape { b, c_in, c_out, l, .. } = sh;
+        for bi in 0..b {
+            // Taps read `dout` through the whole batch, as in the forward pass.
+            let gb = (dout, bi * c_out * l);
+            let db = &mut dx[bi * c_in * l..][..c_in * l];
+            for t0 in (0..l).step_by(W) {
+                let mut ci = 0;
+                while ci + ROWS <= c_in {
+                    backward_dx_tile::<ROWS, W>(gb, w, db, sh, ci, t0);
+                    ci += ROWS;
+                }
+                while ci < c_in {
+                    backward_dx_tile::<1, W>(gb, w, db, sh, ci, t0);
+                    ci += 1;
+                }
+            }
+        }
+    }
+
+    /// Input channels `ci0 .. ci0 + RR`, time steps `t0 .. t0 + W`; `gb` is
+    /// `dout` and the offset of this batch element.
+    #[inline(always)]
+    fn backward_dx_tile<const RR: usize, const W: usize>(
+        (dout, goff): (&[f32], usize),
+        w: &[f32],
+        db: &mut [f32],
+        sh: Shape,
+        ci0: usize,
+        t0: usize,
+    ) {
+        let Shape { c_in, c_out, l, ksize, .. } = sh;
+        let tw = W.min(l - t0);
+        let mut acc: [[f32; W]; RR] =
+            std::array::from_fn(|r| load_row(&db[(ci0 + r) * l + t0..][..tw]));
+        for co in 0..c_out {
+            for k in 0..ksize {
+                // Input step s receives this tap only while s + shift < l.
+                let shift = sh.shift(k);
+                if shift + t0 >= l {
+                    continue;
+                }
+                let v = lanes_at::<W>(dout, goff + co * l + t0 + shift, 0);
+                let mask = lane_mask::<W>(0, l - shift - t0, tw);
+                for (r, a) in acc.iter_mut().enumerate() {
+                    madd_masked(a, w[(co * c_in + ci0 + r) * ksize + k], &v, &mask);
+                }
+            }
+        }
+        for (r, a) in acc.iter().enumerate() {
+            store_row(&mut db[(ci0 + r) * l + t0..][..tw], a);
+        }
+    }
+
+    /// Weight gradient: per batch element, `dw[co, ci, k] += (0 + Σ_t
+    /// dout[co, t] · x[ci, t - shift_k])` over `t = shift_k..l` in order,
+    /// `W` output channels per register.
+    pub(super) fn backward_dw(x: &[f32], dout: &[f32], dw: &mut [f32], sh: Shape) {
+        Isa::current().run(BackwardDw { x, dout, dw, sh });
+    }
+
+    struct BackwardDw<'a> {
+        x: &'a [f32],
+        dout: &'a [f32],
+        dw: &'a mut [f32],
+        sh: Shape,
+    }
+
+    impl Kernel for BackwardDw<'_> {
+        #[inline(always)]
+        fn run(self, lanes: usize) {
+            let BackwardDw { x, dout, dw, sh } = self;
+            match width(sh.c_out, lanes) {
+                4 => backward_dw_w::<4>(x, dout, dw, sh),
+                8 => backward_dw_w::<8>(x, dout, dw, sh),
+                _ => backward_dw_w::<16>(x, dout, dw, sh),
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn backward_dw_w<const W: usize>(x: &[f32], dout: &[f32], dw: &mut [f32], sh: Shape) {
+        let Shape { b, c_in, c_out, l, ksize, .. } = sh;
+        let cols = c_out.div_ceil(W) * W;
+        // gt[t · cols + co] = dout[bi, co, t] and dwt[(ci·K + k) · cols + co]
+        // = dw[co, ci, k]: both transposed so a register holds W channels.
+        // Padding channels are zero and never copied back.
+        let mut gt = crate::pool::take_raw(l * cols);
+        let mut dwt = crate::pool::take_raw(c_in * ksize * cols);
+        for (tap, row) in dwt.chunks_exact_mut(cols.max(1)).enumerate() {
+            for (co, d) in row.iter_mut().enumerate() {
+                *d = if co < c_out { dw[co * c_in * ksize + tap] } else { 0.0 };
+            }
+        }
+        for bi in 0..b {
+            let gb = &dout[bi * c_out * l..][..c_out * l];
+            for (t, row) in gt.chunks_exact_mut(cols.max(1)).enumerate() {
+                for (co, d) in row.iter_mut().enumerate() {
+                    *d = if co < c_out { gb[co * l + t] } else { 0.0 };
+                }
+            }
+            let xb = &x[bi * c_in * l..][..c_in * l];
+            for co0 in (0..c_out).step_by(W) {
+                let mut ci = 0;
+                while ci + ROWS <= c_in {
+                    backward_dw_tile::<ROWS, W>(&gt, xb, &mut dwt, sh, co0, ci);
+                    ci += ROWS;
+                }
+                while ci < c_in {
+                    backward_dw_tile::<1, W>(&gt, xb, &mut dwt, sh, co0, ci);
+                    ci += 1;
+                }
+            }
+        }
+        for (tap, row) in dwt.chunks_exact(cols.max(1)).enumerate() {
+            for (co, &v) in row[..c_out].iter().enumerate() {
+                dw[co * c_in * ksize + tap] = v;
+            }
+        }
+        crate::pool::give(dwt);
+        crate::pool::give(gt);
+    }
+
+    /// Output channels `co0 .. co0 + W` by input channels `ci0 .. ci0 + RR`,
+    /// every tap: one batch element's dot products, added to `dwt` once.
+    #[inline(always)]
+    fn backward_dw_tile<const RR: usize, const W: usize>(
+        gt: &[f32],
+        xb: &[f32],
+        dwt: &mut [f32],
+        sh: Shape,
+        co0: usize,
+        ci0: usize,
+    ) {
+        let Shape { c_out, l, ksize, .. } = sh;
+        let cols = c_out.div_ceil(W) * W;
+        for k in 0..ksize {
+            let shift = sh.shift(k);
+            let mut acc = [[0.0f32; W]; RR];
+            for t in shift..l {
+                let g: &[f32; W] = gt[t * cols + co0..][..W].try_into().expect("tile width");
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let xv = xb[(ci0 + r) * l + t - shift];
+                    for (o, &gv) in a.iter_mut().zip(g) {
+                        *o += gv * xv;
+                    }
+                }
+            }
+            for (r, a) in acc.iter().enumerate() {
+                let dst: &mut [f32; W] = (&mut dwt[((ci0 + r) * ksize + k) * cols + co0..][..W])
+                    .try_into()
+                    .expect("tile width");
+                *dst = std::array::from_fn(|c| dst[c] + a[c]);
+            }
+        }
+    }
+}
+
 /// Unrolls one batch element (`[C_in, L]`, row-major) into the causal column
 /// matrix: `cols[(ci·K + k) · L + t] = x[ci, t - shift_k]` with zero padding
 /// left of the sequence start (`shift_k = (K-1-k) · dilation`).
@@ -156,8 +581,32 @@ fn col2im(dcols: &[f32], dx: &mut [f32], c_in: usize, l: usize, ksize: usize, di
     }
 }
 
-fn use_direct(c_in: usize, c_out: usize, l: usize, ksize: usize) -> bool {
-    c_out * c_in * ksize * l < DIRECT_MAX_WORK || !crate::ops::matmul::fast_enabled()
+/// Which kernels a conv of this shape runs on this thread.
+#[derive(Clone, Copy, PartialEq)]
+enum Route {
+    Im2col,
+    Small,
+    Direct,
+}
+
+fn route(c_in: usize, c_out: usize, l: usize, ksize: usize) -> Route {
+    if !crate::ops::matmul::fast_enabled() {
+        Route::Direct
+    } else if c_out * c_in * ksize * l < DIRECT_MAX_WORK {
+        Route::Small
+    } else {
+        Route::Im2col
+    }
+}
+
+/// `dbias[co] += Σ_t dout[bi, co, t]` for each batch element in order, as
+/// the direct loop does.
+fn add_bias_grad(dout: &[f32], dbias: &mut [f32], b: usize, c_out: usize, l: usize) {
+    for bi in 0..b {
+        for (co, db) in dbias.iter_mut().enumerate() {
+            *db += dout[(bi * c_out + co) * l..][..l].iter().sum::<f32>();
+        }
+    }
 }
 
 /// Forward causal dilated conv1d. `out` must be zero-filled by the caller.
@@ -177,38 +626,46 @@ pub fn conv1d_forward(
     debug_assert_eq!(x.len(), b * c_in * l);
     debug_assert_eq!(w.len(), c_out * c_in * ksize);
     debug_assert_eq!(out.len(), b * c_out * l);
-    if use_direct(c_in, c_out, l, ksize) {
-        direct::conv1d_forward(x, w, bias, out, b, c_in, c_out, l, ksize, dilation);
-        return;
-    }
-    let ck = c_in * ksize;
-    let mut cols = crate::pool::take_raw(ck * l);
-    for bi in 0..b {
-        im2col(&x[bi * c_in * l..(bi + 1) * c_in * l], &mut cols, c_in, l, ksize, dilation);
-        let out_b = &mut out[bi * c_out * l..(bi + 1) * c_out * l];
-        crate::ops::matmul::matmul_kernel(w, &cols, out_b, c_out, ck, l);
-        if let Some(bias) = bias {
-            for (co, &bv) in bias.iter().enumerate() {
-                for o in out_b[co * l..(co + 1) * l].iter_mut() {
-                    *o += bv;
+    match route(c_in, c_out, l, ksize) {
+        Route::Direct => {
+            direct::conv1d_forward(x, w, bias, out, b, c_in, c_out, l, ksize, dilation);
+        }
+        Route::Small => {
+            let sh = small::Shape { b, c_in, c_out, l, ksize, dilation };
+            small::forward(x, w, bias, out, sh);
+        }
+        Route::Im2col => {
+            let ck = c_in * ksize;
+            let mut cols = crate::pool::take_raw(ck * l);
+            for bi in 0..b {
+                im2col(&x[bi * c_in * l..(bi + 1) * c_in * l], &mut cols, c_in, l, ksize, dilation);
+                let out_b = &mut out[bi * c_out * l..(bi + 1) * c_out * l];
+                crate::ops::matmul::matmul_kernel(w, &cols, out_b, c_out, ck, l);
+                if let Some(bias) = bias {
+                    for (co, &bv) in bias.iter().enumerate() {
+                        for o in out_b[co * l..(co + 1) * l].iter_mut() {
+                            *o += bv;
+                        }
+                    }
                 }
             }
+            crate::pool::give(cols);
         }
     }
-    crate::pool::give(cols);
 }
 
 /// Backward pass of [`conv1d_forward`].
 ///
-/// Accumulates into `dx`, `dw` and (optionally) `dbias`.
+/// Accumulates into `dx`, `dw` and `dbias`; a `None` gradient is not
+/// computed.
 #[allow(clippy::too_many_arguments)]
 pub fn conv1d_backward(
     x: &[f32],
     w: &[f32],
     dout: &[f32],
-    dx: &mut [f32],
-    dw: &mut [f32],
-    mut dbias: Option<&mut [f32]>,
+    dx: Option<&mut [f32]>,
+    dw: Option<&mut [f32]>,
+    dbias: Option<&mut [f32]>,
     b: usize,
     c_in: usize,
     c_out: usize,
@@ -216,30 +673,67 @@ pub fn conv1d_backward(
     ksize: usize,
     dilation: usize,
 ) {
-    if use_direct(c_in, c_out, l, ksize) {
-        direct::conv1d_backward(x, w, dout, dx, dw, dbias, b, c_in, c_out, l, ksize, dilation);
-        return;
-    }
-    let ck = c_in * ksize;
-    let mut cols = crate::pool::take_raw(ck * l);
-    let mut dcols = crate::pool::take_raw(ck * l);
-    for bi in 0..b {
-        let g_b = &dout[bi * c_out * l..(bi + 1) * c_out * l];
-        if let Some(dbias) = dbias.as_deref_mut() {
-            for (co, db) in dbias.iter_mut().enumerate() {
-                *db += g_b[co * l..(co + 1) * l].iter().sum::<f32>();
+    match route(c_in, c_out, l, ksize) {
+        Route::Direct => {
+            // The reference computes both gradients; a skipped one lands in
+            // scratch.
+            let (mut dx_tmp, mut dw_tmp) = (Vec::new(), Vec::new());
+            let dx = dx.unwrap_or_else(|| {
+                dx_tmp.resize(x.len(), 0.0);
+                &mut dx_tmp
+            });
+            let dw = dw.unwrap_or_else(|| {
+                dw_tmp.resize(w.len(), 0.0);
+                &mut dw_tmp
+            });
+            direct::conv1d_backward(x, w, dout, dx, dw, dbias, b, c_in, c_out, l, ksize, dilation);
+        }
+        Route::Small => {
+            if let Some(dbias) = dbias {
+                add_bias_grad(dout, dbias, b, c_out, l);
+            }
+            let sh = small::Shape { b, c_in, c_out, l, ksize, dilation };
+            if let Some(dw) = dw {
+                small::backward_dw(x, dout, dw, sh);
+            }
+            if let Some(dx) = dx {
+                small::backward_dx(w, dout, dx, sh);
             }
         }
-        im2col(&x[bi * c_in * l..(bi + 1) * c_in * l], &mut cols, c_in, l, ksize, dilation);
-        // dW += dOut · colsᵀ
-        crate::ops::matmul::matmul_a_bt(g_b, &cols, dw, c_out, l, ck);
-        // dCols = Wᵀ · dOut, then scatter back through the unroll.
-        dcols.fill(0.0);
-        crate::ops::matmul::matmul_at_b(w, g_b, &mut dcols, c_out, ck, l);
-        col2im(&dcols, &mut dx[bi * c_in * l..(bi + 1) * c_in * l], c_in, l, ksize, dilation);
+        Route::Im2col => {
+            if let Some(dbias) = dbias {
+                add_bias_grad(dout, dbias, b, c_out, l);
+            }
+            let ck = c_in * ksize;
+            let (mut dx, mut dw) = (dx, dw);
+            let mut cols = crate::pool::take_raw(ck * l);
+            let mut dcols = crate::pool::take_raw(ck * l);
+            for bi in 0..b {
+                let g_b = &dout[bi * c_out * l..(bi + 1) * c_out * l];
+                if let Some(dw) = dw.as_deref_mut() {
+                    im2col(
+                        &x[bi * c_in * l..(bi + 1) * c_in * l],
+                        &mut cols,
+                        c_in,
+                        l,
+                        ksize,
+                        dilation,
+                    );
+                    // dW += dOut · colsᵀ
+                    crate::ops::matmul::matmul_a_bt(g_b, &cols, dw, c_out, l, ck);
+                }
+                if let Some(dx) = dx.as_deref_mut() {
+                    // dCols = Wᵀ · dOut, then scatter back through the unroll.
+                    dcols.fill(0.0);
+                    crate::ops::matmul::matmul_at_b(w, g_b, &mut dcols, c_out, ck, l);
+                    let dx_b = &mut dx[bi * c_in * l..(bi + 1) * c_in * l];
+                    col2im(&dcols, dx_b, c_in, l, ksize, dilation);
+                }
+            }
+            crate::pool::give(dcols);
+            crate::pool::give(cols);
+        }
     }
-    crate::pool::give(dcols);
-    crate::pool::give(cols);
 }
 
 #[cfg(test)]
@@ -303,7 +797,7 @@ mod tests {
         let dout: Vec<f32> = out.iter().map(|v| 2.0 * v).collect();
         let mut dx = vec![0.0; x.len()];
         let mut dw = vec![0.0; w.len()];
-        conv1d_backward(&x, &w, &dout, &mut dx, &mut dw, None, b, c_in, c_out, l, k, d);
+        conv1d_backward(&x, &w, &dout, Some(&mut dx), Some(&mut dw), None, b, c_in, c_out, l, k, d);
 
         let eps = 1e-3;
         for i in 0..x.len() {
@@ -355,8 +849,8 @@ mod tests {
                 &x,
                 &w,
                 &dout,
-                &mut dxf,
-                &mut dwf,
+                Some(&mut dxf),
+                Some(&mut dwf),
                 Some(&mut dbf),
                 b,
                 c_in,

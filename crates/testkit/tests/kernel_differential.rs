@@ -4,13 +4,16 @@
 //! in `octs-tensor` must agree with the retained naive reference loops
 //! (`ops::matmul::naive`, `ops::conv::direct`) within relative tolerance on
 //! seeded random shapes — including the degenerate ones (empty, 1×N,
-//! over-reaching dilation) where a blocking/panel bug would hide. The strided
-//! permute kernel is a pure copy, so it must match `ops::shapeops::naive`
-//! bit for bit.
+//! over-reaching dilation) where a blocking/panel bug would hide. Below the
+//! packed/im2col thresholds the small-shape kernels must match the reference
+//! loops *bit for bit*, on every SIMD tier the host supports, including
+//! signed zeros, infinities and NaN. The strided permute kernel is a pure
+//! copy, so it must match `ops::shapeops::naive` bit for bit.
 //!
 //! Shapes and data are drawn from `octs_testkit::Gen`, so any failure
 //! replays from the printed seed alone.
 
+use octs_tensor::ops::matmul::BatchKind;
 use octs_tensor::ops::{conv, matmul, shapeops};
 use octs_tensor::Tensor;
 use octs_testkit::Gen;
@@ -127,8 +130,8 @@ fn conv1d_fast_matches_direct_reference() {
                 &x,
                 &w,
                 &dout,
-                &mut dxf,
-                &mut dwf,
+                Some(&mut dxf),
+                Some(&mut dwf),
                 Some(&mut dbf),
                 b,
                 c_in,
@@ -168,7 +171,7 @@ fn conv1d_fast_matches_direct_reference() {
 /// the split threshold, more rows than one band).
 #[test]
 fn matmul_byte_identical_across_thread_counts() {
-    let (m, k, n) = (160, 128, 128);
+    let (m, k, n) = (400, 256, 256);
     let mut gen = Gen::from_seed(42);
     let a = fill(&mut gen, m * k);
     let b = fill(&mut gen, k * n);
@@ -278,4 +281,316 @@ fn permute_strided_is_bit_identical_to_naive_reference() {
             }
         }
     }
+}
+
+/// The packed and im2col paths start at these per-slice work sizes
+/// (`m·k·n` for matmul, `C_out·C_in·K·L` for conv1d); below them the
+/// small-shape kernels run.
+const FAST_MIN_WORK: usize = 4096;
+const DIRECT_MAX_WORK: usize = 4096;
+
+/// Bit identity with the reference: NaN exactly where the reference is NaN
+/// (payloads are unspecified, and the compiler may commute an add's
+/// operands), identical bits everywhere else.
+fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+        let same = if w.is_nan() { g.is_nan() } else { g.to_bits() == w.to_bits() };
+        assert!(
+            same,
+            "{what}[{i}]: got {g:?} ({:#010x}), reference {w:?} ({:#010x})",
+            g.to_bits(),
+            w.to_bits()
+        );
+    }
+}
+
+/// Values with the cases a value-level comparison glosses over: about a
+/// quarter signed zeros, and (when `specials`) a few ±inf and NaN.
+fn fill_bits(gen: &mut Gen, n: usize, specials: bool) -> Vec<f32> {
+    (0..n)
+        .map(|_| match gen.usize_in(0, 99) {
+            0..=12 => -0.0,
+            13..=24 => 0.0,
+            25 if specials => f32::INFINITY,
+            26 if specials => f32::NEG_INFINITY,
+            27 if specials => f32::NAN,
+            _ => gen.f32_in(-2.0, 2.0),
+        })
+        .collect()
+}
+
+/// Runs `f` once per SIMD tier this CPU supports.
+fn on_every_tier(mut f: impl FnMut(&str)) {
+    for tier in matmul::supported_simd() {
+        matmul::with_simd(tier, || f(&format!("{tier:?}")));
+    }
+}
+
+/// Per-slice offsets of `a`, `b` and the output for `kind` (0 = shared).
+fn strides(kind: BatchKind, m: usize, k: usize, n: usize) -> (usize, usize, usize) {
+    match kind {
+        BatchKind::Matched => (m * k, k * n, m * n),
+        BatchKind::BroadcastLhs => (0, k * n, m * n),
+        BatchKind::BroadcastRhs => (m * k, 0, m * n),
+    }
+}
+
+/// `(batch, m, k, n)` below the packed threshold: the ladder's hot shapes,
+/// pinned edge classes (n wider than one register and ragged, k = 0, m = 0,
+/// 1×N, N×1, empty batch) and random ones.
+fn small_bmm_shapes(gen: &mut Gen) -> Vec<(usize, usize, usize, usize)> {
+    let mut shapes = vec![
+        (48, 6, 8, 8),
+        (48, 5, 8, 8),
+        (24, 8, 8, 8),
+        (48, 6, 6, 8),
+        (32, 3, 4, 4),
+        (2, 3, 5, 33), // n = 2·16 + 1
+        (3, 5, 3, 20), // n = 16 + 4
+        (2, 7, 2, 13), // n = 8 + 4 + 1
+        (3, 4, 0, 5),  // k = 0: a·b leaves out alone, a·bᵀ adds 0.0
+        (3, 0, 4, 5),  // m = 0
+        (2, 4, 5, 0),  // n = 0
+        (4, 1, 9, 30), // 1×N rows
+        (2, 30, 9, 1), // N×1 columns
+        (0, 4, 4, 4),  // empty batch
+        (1, 15, 16, 17),
+    ];
+    for _ in 0..8 {
+        let (m, k, n) = (gen.usize_in(1, 20), gen.usize_in(1, 20), gen.usize_in(1, 40));
+        if m * k * n < FAST_MIN_WORK {
+            shapes.push((gen.usize_in(1, 6), m, k, n));
+        }
+    }
+    for &(_, m, k, n) in &shapes {
+        assert!(m * k * n < FAST_MIN_WORK, "{m}x{k}x{n} must take the small-shape path");
+    }
+    shapes
+}
+
+#[test]
+fn small_bmm_is_bit_identical_to_per_slice_naive() {
+    on_every_tier(|tier| {
+        for seed in 0..8 {
+            let mut gen = Gen::from_seed(2_000_000 + seed);
+            for (batch, m, k, n) in small_bmm_shapes(&mut gen) {
+                for kind in [BatchKind::Matched, BatchKind::BroadcastLhs, BatchKind::BroadcastRhs] {
+                    let specials = gen.flip();
+                    let (sa, sb, so) = strides(kind, m, k, n);
+                    let a_len = if sa == 0 { m * k } else { batch * m * k };
+                    let b_len = if sb == 0 { k * n } else { batch * k * n };
+                    let a = fill_bits(&mut gen, a_len, specials);
+                    let b = fill_bits(&mut gen, b_len, specials);
+                    let g = fill_bits(&mut gen, batch * so, specials);
+                    let what = format!("{tier} seed {seed} {kind:?} {batch}x({m}x{k}x{n})");
+
+                    // Forward, over a nonzero (and signed-zero) accumulator.
+                    let init = fill_bits(&mut gen, batch * so, false);
+                    let mut got = init.clone();
+                    matmul::bmm_forward(&a, &b, &mut got, kind, batch, m, k, n);
+                    let mut want = init;
+                    for s in 0..batch {
+                        matmul::naive::matmul_kernel(
+                            &a[s * sa..][..m * k],
+                            &b[s * sb..][..k * n],
+                            &mut want[s * so..][..m * n],
+                            m,
+                            k,
+                            n,
+                        );
+                    }
+                    assert_bits(&format!("{what} forward"), &got, &want);
+
+                    // Backward: both gradients, then each alone.
+                    let da0 = fill_bits(&mut gen, a_len, false);
+                    let db0 = fill_bits(&mut gen, b_len, false);
+                    let (mut da_want, mut db_want) = (da0.clone(), db0.clone());
+                    for s in 0..batch {
+                        let gs = &g[s * so..][..m * n];
+                        let da_s = &mut da_want[s * sa..][..m * k];
+                        matmul::naive::matmul_a_bt(gs, &b[s * sb..][..k * n], da_s, m, n, k);
+                        let db_s = &mut db_want[s * sb..][..k * n];
+                        matmul::naive::matmul_at_b(&a[s * sa..][..m * k], gs, db_s, m, k, n);
+                    }
+                    let (mut da, mut db) = (da0.clone(), db0.clone());
+                    let (da_out, db_out) = (Some(&mut da[..]), Some(&mut db[..]));
+                    matmul::bmm_backward(&a, &b, &g, da_out, db_out, kind, batch, m, k, n);
+                    assert_bits(&format!("{what} dA"), &da, &da_want);
+                    assert_bits(&format!("{what} dB"), &db, &db_want);
+                    let mut da = da0.clone();
+                    matmul::bmm_backward(&a, &b, &g, Some(&mut da), None, kind, batch, m, k, n);
+                    assert_bits(&format!("{what} dA alone"), &da, &da_want);
+                    let mut db = db0.clone();
+                    matmul::bmm_backward(&a, &b, &g, None, Some(&mut db), kind, batch, m, k, n);
+                    assert_bits(&format!("{what} dB alone"), &db, &db_want);
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn small_matmul_signatures_are_bit_identical_to_naive() {
+    on_every_tier(|tier| {
+        let mut gen = Gen::from_seed(3_000_000);
+        for (_, m, k, n) in small_bmm_shapes(&mut gen) {
+            let what = format!("{tier} {m}x{k}x{n}");
+            let a = fill_bits(&mut gen, m * k, true);
+            let b = fill_bits(&mut gen, k * n, true);
+            let init = fill_bits(&mut gen, m * n, false);
+            let (mut got, mut want) = (init.clone(), init.clone());
+            matmul::matmul_kernel(&a, &b, &mut got, m, k, n);
+            matmul::naive::matmul_kernel(&a, &b, &mut want, m, k, n);
+            assert_bits(&format!("{what} a_b"), &got, &want);
+
+            // aᵀ·b: the same data read as a k×m matrix.
+            let (mut got, mut want) = (init.clone(), init.clone());
+            matmul::matmul_at_b(&a, &b, &mut got, k, m, n);
+            matmul::naive::matmul_at_b(&a, &b, &mut want, k, m, n);
+            assert_bits(&format!("{what} at_b"), &got, &want);
+
+            // a·bᵀ: a is m×k, b is n×k, out m×n.
+            let bt = fill_bits(&mut gen, n * k, true);
+            let (mut got, mut want) = (init.clone(), init);
+            matmul::matmul_a_bt(&a, &bt, &mut got, m, k, n);
+            matmul::naive::matmul_a_bt(&a, &bt, &mut want, m, k, n);
+            assert_bits(&format!("{what} a_bt"), &got, &want);
+        }
+    });
+}
+
+/// `(b, c_in, c_out, l, k, dilation)` below the im2col threshold: the
+/// ladder's GDCC shapes, rows longer than one register, taps that reach
+/// past the sequence start (dilation over-reach), wide channel counts and
+/// empty extents.
+fn small_conv_shapes(gen: &mut Gen) -> Vec<(usize, usize, usize, usize, usize, usize)> {
+    let mut shapes = vec![
+        (12, 4, 4, 4, 2, 1),
+        (12, 8, 8, 6, 2, 2),
+        (4, 8, 8, 8, 3, 1),
+        (4, 8, 8, 12, 2, 4),
+        (2, 3, 5, 17, 2, 1), // l = 16 + 1
+        (2, 2, 3, 40, 3, 5), // l = 2·16 + 8, reach 10
+        (2, 4, 6, 5, 3, 4),  // reach 8 >= l: some taps reach nothing
+        (1, 2, 20, 9, 2, 9), // c_out wider than one register
+        (1, 1, 1, 1, 1, 1),
+        (3, 5, 2, 3, 1, 1), // K = 1
+        (0, 4, 4, 8, 2, 1), // empty batch
+        (2, 4, 4, 0, 2, 1), // empty sequence
+    ];
+    for _ in 0..8 {
+        let s = (
+            gen.usize_in(1, 4),
+            gen.usize_in(1, 10),
+            gen.usize_in(1, 18),
+            gen.usize_in(1, 24),
+            gen.usize_in(1, 3),
+            gen.usize_in(1, 10),
+        );
+        if s.1 * s.2 * s.3 * s.4 < DIRECT_MAX_WORK {
+            shapes.push(s);
+        }
+    }
+    for &(_, c_in, c_out, l, k, _) in &shapes {
+        assert!(c_in * c_out * l * k < DIRECT_MAX_WORK, "conv must take the small-shape path");
+    }
+    shapes
+}
+
+#[test]
+fn small_conv1d_is_bit_identical_to_direct() {
+    on_every_tier(|tier| {
+        for seed in 0..8 {
+            let mut gen = Gen::from_seed(4_000_000 + seed);
+            for (b, c_in, c_out, l, k, d) in small_conv_shapes(&mut gen) {
+                let specials = gen.flip();
+                let what =
+                    format!("{tier} seed {seed} b={b} ci={c_in} co={c_out} l={l} k={k} d={d}");
+                let x = fill_bits(&mut gen, b * c_in * l, specials);
+                let w = fill_bits(&mut gen, c_out * c_in * k, specials);
+                let bias = fill_bits(&mut gen, c_out, specials);
+
+                let init = fill_bits(&mut gen, b * c_out * l, false);
+                for bias in [None, Some(&bias[..])] {
+                    let (mut got, mut want) = (init.clone(), init.clone());
+                    conv::conv1d_forward(&x, &w, bias, &mut got, b, c_in, c_out, l, k, d);
+                    conv::direct::conv1d_forward(&x, &w, bias, &mut want, b, c_in, c_out, l, k, d);
+                    assert_bits(&format!("{what} fwd bias={}", bias.is_some()), &got, &want);
+                }
+
+                let g = fill_bits(&mut gen, b * c_out * l, specials);
+                let dx0 = fill_bits(&mut gen, x.len(), false);
+                let dw0 = fill_bits(&mut gen, w.len(), false);
+                let db0 = fill_bits(&mut gen, c_out, false);
+                let (mut dx_want, mut dw_want, mut db_want) =
+                    (dx0.clone(), dw0.clone(), db0.clone());
+                conv::direct::conv1d_backward(
+                    &x,
+                    &w,
+                    &g,
+                    &mut dx_want,
+                    &mut dw_want,
+                    Some(&mut db_want),
+                    b,
+                    c_in,
+                    c_out,
+                    l,
+                    k,
+                    d,
+                );
+                let (mut dx, mut dw, mut db) = (dx0.clone(), dw0.clone(), db0.clone());
+                conv::conv1d_backward(
+                    &x,
+                    &w,
+                    &g,
+                    Some(&mut dx),
+                    Some(&mut dw),
+                    Some(&mut db),
+                    b,
+                    c_in,
+                    c_out,
+                    l,
+                    k,
+                    d,
+                );
+                assert_bits(&format!("{what} dx"), &dx, &dx_want);
+                assert_bits(&format!("{what} dw"), &dw, &dw_want);
+                assert_bits(&format!("{what} dbias"), &db, &db_want);
+
+                let mut dx = dx0.clone();
+                conv::conv1d_backward(
+                    &x,
+                    &w,
+                    &g,
+                    Some(&mut dx),
+                    None,
+                    None,
+                    b,
+                    c_in,
+                    c_out,
+                    l,
+                    k,
+                    d,
+                );
+                assert_bits(&format!("{what} dx alone"), &dx, &dx_want);
+                let mut dw = dw0.clone();
+                conv::conv1d_backward(
+                    &x,
+                    &w,
+                    &g,
+                    None,
+                    Some(&mut dw),
+                    None,
+                    b,
+                    c_in,
+                    c_out,
+                    l,
+                    k,
+                    d,
+                );
+                assert_bits(&format!("{what} dw alone"), &dw, &dw_want);
+            }
+        }
+    });
 }
