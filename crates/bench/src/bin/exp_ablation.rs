@@ -15,7 +15,7 @@
 use autocts::AutoCts;
 use octs_bench::{ms, results_dir, system_config, target_task, MetricAgg, Scale, Table};
 use octs_comparator::{
-    collect_labels, embed_tasks, pretrain_tahc, EmbedKind, PoolKind, PretrainBank, TaskSamples,
+    label_task, pretrain_tahc, shared_pool, EmbedKind, LabeledBank, PoolKind, TaskSamples,
 };
 use octs_data::{enrich_tasks, metrics::MeanStd, Mode};
 
@@ -75,8 +75,8 @@ fn build_variant(
     let t0 = std::time::Instant::now();
     let datasets: Vec<&octs_data::CtsData> = tasks.iter().map(|t| &t.data).collect();
     sys.embedder.pretrain_encoder(&datasets);
-    let prelims = embed_tasks(tasks, &mut sys.embedder);
-    let bank = PretrainBank { tasks: tasks.to_vec(), prelims, samples };
+    let prelims = tasks.iter().map(|t| sys.embedder.preliminary(t)).collect();
+    let bank = LabeledBank { prelims, samples };
     let report = pretrain_tahc(&mut sys.tahc, &bank, &pre);
     sys.mark_pretrained();
     eprintln!(
@@ -106,7 +106,10 @@ fn main() {
         tasks.len()
     );
     let t0 = std::time::Instant::now();
-    let labels = collect_labels(&tasks, &system_config(scale).space, &scale.pretrain_cfg());
+    let (space, pre) = (system_config(scale).space, scale.pretrain_cfg());
+    let pool = shared_pool(&space, &pre);
+    let labels: Vec<TaskSamples> =
+        tasks.iter().enumerate().map(|(ti, t)| label_task(t, ti, &pool, &space, &pre)).collect();
     eprintln!("[ablation]   labels collected in {:.1?}", t0.elapsed());
 
     let mut systems: Vec<(Variant, AutoCts)> =

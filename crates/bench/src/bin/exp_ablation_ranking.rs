@@ -16,8 +16,8 @@
 use autocts::AutoCts;
 use octs_bench::{f, results_dir, system_config, target_task, Scale, Table};
 use octs_comparator::{
-    calibrate, collect_labels, embed_tasks, pretrain_tahc, ranking_fidelity, EmbedKind, LabeledAh,
-    PoolKind, PretrainBank, TaskSamples,
+    calibrate, label_task, pretrain_tahc, ranking_fidelity, shared_pool, EmbedKind, LabeledAh,
+    LabeledBank, PoolKind, TaskSamples,
 };
 use octs_data::{enrich_tasks, ForecastSetting};
 use octs_model::early_validation;
@@ -55,7 +55,12 @@ fn main() {
     }
     eprintln!("[ablation-rank] labelling {} source tasks once ...", source_tasks.len());
     let pre_cfg = scale.pretrain_cfg();
-    let labels = collect_labels(&source_tasks, &space, &pre_cfg);
+    let pool = shared_pool(&space, &pre_cfg);
+    let labels: Vec<TaskSamples> = source_tasks
+        .iter()
+        .enumerate()
+        .map(|(ti, t)| label_task(t, ti, &pool, &space, &pre_cfg))
+        .collect();
 
     // Unseen-task evaluation pools: labelled candidates on target datasets.
     let pool_size = if scale == Scale::Quick { 6 } else { 10 };
@@ -114,8 +119,8 @@ fn main() {
         eprintln!("[ablation-rank] pre-training '{}' ...", variant.name());
         let datasets: Vec<&octs_data::CtsData> = source_tasks.iter().map(|t| &t.data).collect();
         sys.embedder.pretrain_encoder(&datasets);
-        let prelims = embed_tasks(&source_tasks, &mut sys.embedder);
-        let bank = PretrainBank { tasks: source_tasks.clone(), prelims, samples };
+        let prelims = source_tasks.iter().map(|t| sys.embedder.preliminary(t)).collect();
+        let bank = LabeledBank { prelims, samples };
         let report = pretrain_tahc(&mut sys.tahc, &bank, &pre);
 
         // Zero-shot quality on the unseen pools.

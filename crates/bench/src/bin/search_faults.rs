@@ -135,9 +135,10 @@ fn measure_resume() -> ResumeRun {
             .expect("uninterrupted run");
     let uninterrupted_secs = t0.elapsed().as_secs_f64();
 
-    // Kill mid-labelling: fingerprint + encoder are appends 0 and 1, so
-    // failing append 5 leaves 3 of the labels journaled.
-    let killed_after_appends = 5u64;
+    // Kill after labelling: fingerprint, encoder and the one task's labels
+    // are appends 0-2, so failing append 3 (the first epoch record) leaves
+    // every label journaled; the resume replays them and retrains.
+    let killed_after_appends = 3u64;
     {
         let _scope =
             FaultScope::activate(FaultPlan::new().io_error("journal.append", killed_after_appends));

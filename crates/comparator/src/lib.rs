@@ -25,10 +25,8 @@ pub use ahc::{CacheStats, Tahc, TahcConfig};
 pub use calibration::{calibrate, ranking_fidelity, CalibrationReport};
 pub use gin::{gin_encode, materialize_gin, GinConfig};
 pub use pretrain::{
-    assemble_samples, collect_bank, collect_labels, dynamic_pairs, embed_tasks, label_one,
-    label_units, pretrain_tahc, pretrain_tahc_labeled, shared_pool, task_label_units, LabelUnit,
-    LabeledAh, LabeledBank, PretrainBank, PretrainConfig, PretrainReport, TahcTrainer,
-    TahcTrainerState, TaskSamples,
+    dynamic_pairs, label_one, pretrain_tahc, shared_pool, task_label_units, LabelUnit, LabeledAh,
+    LabeledBank, PretrainConfig, PretrainReport, TahcTrainer, TahcTrainerState, TaskSamples,
 };
 pub use stream::{collect_labeled_bank, label_task};
 pub use task_embed::{

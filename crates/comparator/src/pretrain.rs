@@ -1,9 +1,14 @@
 //! T-AHC pre-training (Section 3.2.4, Algorithm 1): label collection with the
 //! early-validation proxy, shared + random samples, data-level curriculum and
 //! dynamic pairing.
+//!
+//! Every pre-training entry point feeds the same [`LabeledBank`] into the
+//! same [`TahcTrainer`]: `AutoCts::pretrain` builds the bank with
+//! [`crate::stream::collect_labeled_bank`] and runs [`pretrain_tahc`]; the
+//! journaled driver in the `autocts` crate labels it shard by shard with
+//! [`crate::stream::label_task`] and checkpoints the trainer between epochs.
 
 use crate::ahc::Tahc;
-use crate::task_embed::TaskEmbedder;
 use octs_data::ForecastTask;
 use octs_model::{early_validation, TrainConfig};
 use octs_space::{ArchHyper, JointSpace};
@@ -12,9 +17,7 @@ use octs_tensor::{Adam, ParamStore};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// An arch-hyper with its early-validation score `R'` (lower = better).
@@ -41,21 +44,12 @@ pub struct TaskSamples {
     pub random: Vec<LabeledAh>,
 }
 
-/// Everything the pre-training loop consumes.
-pub struct PretrainBank {
-    /// The pre-training tasks.
-    pub tasks: Vec<ForecastTask>,
-    /// Frozen preliminary embeddings, one `[W, S, F']` tensor per task.
-    pub prelims: Vec<Tensor>,
-    /// Labelled samples per task.
-    pub samples: Vec<TaskSamples>,
-}
-
-/// The task-free residue of a [`PretrainBank`]: exactly what the training
-/// loop reads. The datasets themselves are ~99% of a bank's bytes and the
-/// trainer never touches them, so streaming pipelines label each task as it
-/// flows past, keep its `(prelim, samples)` pair here, and drop the task —
-/// peak memory stays O(prefetch window), not O(bank).
+/// What the pre-training loop reads: one frozen preliminary embedding and
+/// one set of labelled samples per task. The datasets themselves are ~99% of
+/// a bank's bytes and the trainer never touches them, so every pipeline
+/// labels each task as it flows past, keeps its `(prelim, samples)` pair
+/// here, and drops the task — peak memory stays O(prefetch window), not
+/// O(bank).
 #[derive(Default)]
 pub struct LabeledBank {
     /// Frozen preliminary embeddings, one `[W, S, F']` tensor per task.
@@ -137,38 +131,15 @@ impl PretrainConfig {
 
 /// One unit of labelling work: a single candidate on a single task. The
 /// `unit` id is a stable flat index (`task_idx * (L_shared + L_random) +
-/// slot`), which keys progress journals and fault-injection plans.
+/// slot`), which keys fault-injection plans and `label.quarantine` events.
 #[derive(Debug, Clone)]
 pub struct LabelUnit {
     /// Stable flat index of this unit across the whole labelling phase.
     pub unit: u64,
-    /// Index into the task list.
-    pub task_idx: usize,
     /// True for a shared-pool sample, false for a task-specific random one.
     pub shared: bool,
-    /// Position within the task's shared (or random) sample list.
-    pub slot: usize,
     /// The candidate to label.
     pub ah: ArchHyper,
-}
-
-/// Deterministically enumerates every labelling unit for `tasks`: the shared
-/// pool (sampled from the master seed) replicated per task, plus each task's
-/// own random samples. The enumeration — including every sampled
-/// [`ArchHyper`] — depends only on `(space, cfg)`, so a resumed run
-/// reconstructs the identical work list.
-pub fn label_units(
-    tasks: &[ForecastTask],
-    space: &JointSpace,
-    cfg: &PretrainConfig,
-) -> Vec<LabelUnit> {
-    let pool = shared_pool(space, cfg);
-    let stride = cfg.l_shared + cfg.l_random;
-    let mut units = Vec::with_capacity(tasks.len() * stride);
-    for ti in 0..tasks.len() {
-        units.extend(task_label_units(ti, &pool, space, cfg));
-    }
-    units
 }
 
 /// Samples the `L` arch-hypers shared across every pre-training task, from
@@ -185,8 +156,7 @@ pub fn shared_pool(space: &JointSpace, cfg: &PretrainConfig) -> Vec<ArchHyper> {
 /// per-task replica slots, plus the task's own random samples drawn from an
 /// independent per-task RNG substream. Depends only on `(ti, space, cfg)` —
 /// *not* on which worker runs it or which tasks surround it — so any
-/// shard→worker assignment reproduces the exact unit list of the in-memory
-/// [`label_units`] enumeration.
+/// shard→worker assignment reproduces the exact same unit list.
 pub fn task_label_units(
     ti: usize,
     shared: &[ArchHyper],
@@ -197,26 +167,17 @@ pub fn task_label_units(
     let mut trng = ChaCha8Rng::seed_from_u64(cfg.seed ^ (ti as u64 + 1) << 8);
     let randoms = space.sample_distinct(cfg.l_random, &mut trng);
     let base = ti as u64 * stride;
-    let mut units = Vec::with_capacity(stride as usize);
-    for (i, ah) in shared.iter().enumerate() {
-        units.push(LabelUnit {
-            unit: base + i as u64,
-            task_idx: ti,
-            shared: true,
-            slot: i,
-            ah: ah.clone(),
-        });
-    }
-    for (i, ah) in randoms.into_iter().enumerate() {
-        units.push(LabelUnit {
-            unit: base + (cfg.l_shared + i) as u64,
-            task_idx: ti,
-            shared: false,
-            slot: i,
-            ah,
-        });
-    }
-    units
+    let shared_units = shared.iter().enumerate().map(|(i, ah)| LabelUnit {
+        unit: base + i as u64,
+        shared: true,
+        ah: ah.clone(),
+    });
+    let random_units = randoms.into_iter().enumerate().map(|(i, ah)| LabelUnit {
+        unit: base + (cfg.l_shared + i) as u64,
+        shared: false,
+        ah,
+    });
+    shared_units.chain(random_units).collect()
 }
 
 /// Labels one candidate with the early-validation proxy under full fault
@@ -242,79 +203,6 @@ pub fn label_one(ah: &ArchHyper, task: &ForecastTask, unit: u64, cfg: &TrainConf
     }
 }
 
-/// Reassembles per-task sample lists from labelled units. `scores` maps each
-/// unit id to its `(score, quarantined)` outcome — from a live labelling run
-/// or replayed out of a progress journal; the assembly is order-independent,
-/// so a resumed run and an uninterrupted one produce identical banks.
-pub fn assemble_samples(
-    units: &[LabelUnit],
-    scores: &BTreeMap<u64, (f32, bool)>,
-    n_tasks: usize,
-    cfg: &PretrainConfig,
-) -> Vec<TaskSamples> {
-    let mut shared: Vec<Vec<Option<LabeledAh>>> = vec![vec![None; cfg.l_shared]; n_tasks];
-    let mut random: Vec<Vec<Option<LabeledAh>>> = vec![vec![None; cfg.l_random]; n_tasks];
-    for u in units {
-        let (score, quarantined) =
-            *scores.get(&u.unit).unwrap_or_else(|| panic!("unit {} has no label", u.unit));
-        let labeled = LabeledAh { ah: u.ah.clone(), score, quarantined };
-        let dst = if u.shared { &mut shared[u.task_idx] } else { &mut random[u.task_idx] };
-        dst[u.slot] = Some(labeled);
-    }
-    shared
-        .into_iter()
-        .zip(random)
-        .map(|(s, r)| TaskSamples {
-            shared: s.into_iter().map(|l| l.expect("shared slot labelled")).collect(),
-            random: r.into_iter().map(|l| l.expect("random slot labelled")).collect(),
-        })
-        .collect()
-}
-
-/// Labels shared + per-task random arch-hypers with the early-validation
-/// proxy (parallel over all units). This is the expensive phase of bank
-/// collection and is *embedder-independent*, so ablation studies run it once
-/// and share the result across comparator variants. Candidates that diverge
-/// or panic are quarantined, not fatal.
-pub fn collect_labels(
-    tasks: &[ForecastTask],
-    space: &JointSpace,
-    cfg: &PretrainConfig,
-) -> Vec<TaskSamples> {
-    let _obs = octs_obs::span("phase.label");
-    let units = label_units(tasks, space, cfg);
-    octs_obs::counter("label.units", units.len() as u64);
-    let labeled: Vec<(u64, (f32, bool))> = units
-        .par_iter()
-        .map(|u| {
-            let l = label_one(&u.ah, &tasks[u.task_idx], u.unit, &cfg.label_cfg);
-            (u.unit, (l.score, l.quarantined))
-        })
-        .collect();
-    let scores: BTreeMap<u64, (f32, bool)> = labeled.into_iter().collect();
-    assemble_samples(&units, &scores, tasks.len(), cfg)
-}
-
-/// Precomputes the frozen preliminary embedding of every task.
-pub fn embed_tasks(tasks: &[ForecastTask], embedder: &mut TaskEmbedder) -> Vec<Tensor> {
-    let _obs = octs_obs::span("phase.embed");
-    tasks.iter().map(|t| embedder.preliminary(t)).collect()
-}
-
-/// Collects the pre-training bank: samples shared and per-task random
-/// arch-hypers, labels each with the early-validation proxy (parallel over
-/// candidates), and precomputes preliminary task embeddings.
-pub fn collect_bank(
-    tasks: Vec<ForecastTask>,
-    embedder: &mut TaskEmbedder,
-    space: &JointSpace,
-    cfg: &PretrainConfig,
-) -> PretrainBank {
-    let prelims = embed_tasks(&tasks, embedder);
-    let samples = collect_labels(&tasks, space, cfg);
-    PretrainBank { tasks, prelims, samples }
-}
-
 /// Outcome of pre-training.
 #[derive(Debug, Clone)]
 pub struct PretrainReport {
@@ -331,16 +219,17 @@ pub struct PretrainReport {
 /// Builds dynamically-paired comparisons from a pool of labelled samples:
 /// shuffles, pairs consecutive entries, labels by score order, and drops
 /// near-ties that carry no ranking signal. Quarantined samples are excluded
-/// before pairing.
+/// before pairing. The curriculum epochs and the hold-out evaluation both
+/// pair through this one function.
 pub fn dynamic_pairs<'a>(
-    pool: &'a [LabeledAh],
+    pool: impl IntoIterator<Item = &'a LabeledAh>,
     rng: &mut ChaCha8Rng,
 ) -> Vec<(&'a ArchHyper, &'a ArchHyper, f32)> {
-    let mut idx: Vec<usize> = (0..pool.len()).filter(|&i| !pool[i].quarantined).collect();
-    idx.shuffle(rng);
+    let mut pool: Vec<&LabeledAh> = pool.into_iter().filter(|l| !l.quarantined).collect();
+    pool.shuffle(rng);
     let mut out = Vec::new();
-    for pair in idx.chunks_exact(2) {
-        let (a, b) = (&pool[pair[0]], &pool[pair[1]]);
+    for pair in pool.chunks_exact(2) {
+        let (a, b) = (pair[0], pair[1]);
         if (a.score - b.score).abs() < 1e-6 {
             continue;
         }
@@ -455,21 +344,7 @@ impl TahcTrainer {
     /// restored RNG replays the identical pairing. After
     /// [`PRETRAIN_MAX_RETRIES`] failed attempts the loss is recorded as-is
     /// and training moves on (downstream holdout accuracy exposes the wreck).
-    pub fn run_epoch(&mut self, tahc: &mut Tahc, bank: &PretrainBank, cfg: &PretrainConfig) -> f32 {
-        self.run_epoch_on(tahc, &bank.prelims, &bank.samples, cfg)
-    }
-
-    /// [`TahcTrainer::run_epoch`] over the task-free residue of a bank — the
-    /// entry point for streamed pre-training, where no [`PretrainBank`] (with
-    /// its resident datasets) ever exists. Byte-identical to `run_epoch` on
-    /// the equivalent in-memory bank.
-    pub fn run_epoch_on(
-        &mut self,
-        tahc: &mut Tahc,
-        prelims: &[Tensor],
-        samples: &[TaskSamples],
-        cfg: &PretrainConfig,
-    ) -> f32 {
+    pub fn run_epoch(&mut self, tahc: &mut Tahc, bank: &LabeledBank, cfg: &PretrainConfig) -> f32 {
         let _obs = octs_obs::span_detail("pretrain.epoch", self.epoch.to_string());
         let mut attempts = 0usize;
         loop {
@@ -477,7 +352,7 @@ impl TahcTrainer {
             let snap_opt = self.opt.clone();
             let snap_rng = self.rng.clone();
             let inject = octs_fault::armed() && octs_fault::pretrain_nan(self.epoch);
-            let (mut loss, batches) = self.epoch_pass(tahc, prelims, samples, cfg);
+            let (mut loss, batches) = self.epoch_pass(tahc, bank, cfg);
             if inject {
                 loss = f32::NAN;
             }
@@ -510,37 +385,17 @@ impl TahcTrainer {
     fn epoch_pass(
         &mut self,
         tahc: &mut Tahc,
-        prelims: &[Tensor],
-        samples: &[TaskSamples],
+        bank: &LabeledBank,
         cfg: &PretrainConfig,
     ) -> (f32, usize) {
         let use_task = tahc.cfg.task_aware;
-        // Gather this epoch's pairs across all tasks (curriculum C_t).
+        // Gather this epoch's pairs across all tasks: every shared sample
+        // plus the first `delta` random ones (curriculum C_t).
         let mut all: Vec<(usize, &ArchHyper, &ArchHyper, f32)> = Vec::new();
-        for (ti, s) in samples.iter().enumerate() {
-            let mut pool: Vec<LabeledAh> =
-                s.shared.iter().filter(|l| !l.quarantined).cloned().collect();
-            pool.extend(s.random.iter().take(self.delta).filter(|l| !l.quarantined).cloned());
-            // Dynamic pairing needs owned shuffle; borrow via indices below.
-            let mut idx: Vec<usize> = (0..pool.len()).collect();
-            idx.shuffle(&mut self.rng);
-            for pair in idx.chunks_exact(2) {
-                let (a, b) = (&pool[pair[0]], &pool[pair[1]]);
-                if (a.score - b.score).abs() < 1e-6 {
-                    continue;
-                }
-                let y = if a.score < b.score { 1.0 } else { 0.0 };
-                // resolve back to the bank's stable storage for lifetimes
-                let find = |x: &LabeledAh| -> &ArchHyper {
-                    s.shared
-                        .iter()
-                        .chain(s.random.iter())
-                        .find(|l| l.ah == x.ah)
-                        .map(|l| &l.ah)
-                        .expect("sample came from the bank")
-                };
-                all.push((ti, find(a), find(b), y));
-            }
+        for (ti, s) in bank.samples.iter().enumerate() {
+            let pool = s.shared.iter().chain(s.random.iter().take(self.delta));
+            let pairs = dynamic_pairs(pool, &mut self.rng);
+            all.extend(pairs.into_iter().map(|(a, b, y)| (ti, a, b, y)));
         }
         all.shuffle(&mut self.rng);
 
@@ -550,7 +405,7 @@ impl TahcTrainer {
             let batch: Vec<_> = chunk
                 .iter()
                 .map(|(ti, a, b, y)| {
-                    let prelim = if use_task { Some(&prelims[*ti]) } else { None };
+                    let prelim = if use_task { Some(&bank.prelims[*ti]) } else { None };
                     (prelim, *a, *b, *y)
                 })
                 .collect();
@@ -566,36 +421,14 @@ impl TahcTrainer {
 
     /// Hold-out evaluation over fresh pairings of the full (non-quarantined)
     /// pools, closing out the run as a [`PretrainReport`].
-    pub fn finish(&self, tahc: &Tahc, bank: &PretrainBank, cfg: &PretrainConfig) -> PretrainReport {
-        self.finish_on(tahc, &bank.prelims, &bank.samples, cfg)
-    }
-
-    /// [`TahcTrainer::finish`] over the task-free residue of a bank; the
-    /// streamed counterpart, byte-identical to `finish`.
-    pub fn finish_on(
-        &self,
-        tahc: &Tahc,
-        prelims: &[Tensor],
-        samples: &[TaskSamples],
-        cfg: &PretrainConfig,
-    ) -> PretrainReport {
+    pub fn finish(&self, tahc: &Tahc, bank: &LabeledBank, cfg: &PretrainConfig) -> PretrainReport {
         let use_task = tahc.cfg.task_aware;
         let mut eval_rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xE7A1);
         let mut eval: Vec<(Option<&Tensor>, &ArchHyper, &ArchHyper, f32)> = Vec::new();
-        for (ti, s) in samples.iter().enumerate() {
-            let pool: Vec<&LabeledAh> =
-                s.shared.iter().chain(s.random.iter()).filter(|l| !l.quarantined).collect();
-            let mut idx: Vec<usize> = (0..pool.len()).collect();
-            idx.shuffle(&mut eval_rng);
-            for pair in idx.chunks_exact(2) {
-                let (a, b) = (pool[pair[0]], pool[pair[1]]);
-                if (a.score - b.score).abs() < 1e-6 {
-                    continue;
-                }
-                let y = if a.score < b.score { 1.0 } else { 0.0 };
-                let prelim = if use_task { Some(&prelims[ti]) } else { None };
-                eval.push((prelim, &a.ah, &b.ah, y));
-            }
+        for (ti, s) in bank.samples.iter().enumerate() {
+            let prelim = if use_task { Some(&bank.prelims[ti]) } else { None };
+            let pairs = dynamic_pairs(s.shared.iter().chain(&s.random), &mut eval_rng);
+            eval.extend(pairs.into_iter().map(|(a, b, y)| (prelim, a, b, y)));
         }
         let holdout_accuracy = tahc.accuracy(&eval);
         PretrainReport {
@@ -608,7 +441,7 @@ impl TahcTrainer {
 
 /// Algorithm 1: curriculum pre-training of T-AHC over the bank — the
 /// uninterrupted loop over [`TahcTrainer`].
-pub fn pretrain_tahc(tahc: &mut Tahc, bank: &PretrainBank, cfg: &PretrainConfig) -> PretrainReport {
+pub fn pretrain_tahc(tahc: &mut Tahc, bank: &LabeledBank, cfg: &PretrainConfig) -> PretrainReport {
     let _obs = octs_obs::span("phase.pretrain");
     let mut trainer = TahcTrainer::new(cfg);
     while !trainer.is_done(cfg) {
@@ -617,26 +450,12 @@ pub fn pretrain_tahc(tahc: &mut Tahc, bank: &PretrainBank, cfg: &PretrainConfig)
     trainer.finish(tahc, bank, cfg)
 }
 
-/// [`pretrain_tahc`] over a [`LabeledBank`] — the streamed pipeline's loop,
-/// byte-identical to the in-memory one on an equivalent bank.
-pub fn pretrain_tahc_labeled(
-    tahc: &mut Tahc,
-    bank: &LabeledBank,
-    cfg: &PretrainConfig,
-) -> PretrainReport {
-    let _obs = octs_obs::span("phase.pretrain");
-    let mut trainer = TahcTrainer::new(cfg);
-    while !trainer.is_done(cfg) {
-        trainer.run_epoch_on(tahc, &bank.prelims, &bank.samples, cfg);
-    }
-    trainer.finish_on(tahc, &bank.prelims, &bank.samples, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ahc::TahcConfig;
-    use crate::task_embed::TaskEmbedConfig;
+    use crate::stream::{collect_labeled_bank, label_task};
+    use crate::task_embed::{TaskEmbedConfig, TaskEmbedder};
     use crate::ts2vec::Ts2VecConfig;
     use octs_data::{DatasetProfile, Domain, ForecastSetting};
 
@@ -667,17 +486,22 @@ mod tests {
             .collect()
     }
 
-    fn tiny_embedder() -> TaskEmbedder {
-        TaskEmbedder::new(TaskEmbedConfig::test(), Ts2VecConfig::test(), 1)
+    /// Two tiny tasks labelled and embedded through the streamed path.
+    fn tiny_bank(cfg: &PretrainConfig) -> LabeledBank {
+        let mut emb = TaskEmbedder::new(TaskEmbedConfig::test(), Ts2VecConfig::test(), 1);
+        collect_labeled_bank(
+            tiny_tasks(2).into_iter().enumerate(),
+            &mut emb,
+            &JointSpace::tiny(),
+            cfg,
+        )
     }
 
     #[test]
     fn bank_collection_shapes() {
-        let tasks = tiny_tasks(2);
-        let mut emb = tiny_embedder();
         let cfg = PretrainConfig { l_shared: 3, l_random: 3, ..PretrainConfig::test() };
-        let bank = collect_bank(tasks, &mut emb, &JointSpace::tiny(), &cfg);
-        assert_eq!(bank.tasks.len(), 2);
+        let bank = tiny_bank(&cfg);
+        assert_eq!(bank.len(), 2);
         assert_eq!(bank.prelims.len(), 2);
         for s in &bank.samples {
             assert_eq!(s.shared.len(), 3);
@@ -721,7 +545,13 @@ mod tests {
         let _scope = octs_fault::FaultScope::activate(
             octs_fault::FaultPlan::new().panic_unit(1).nan_loss(9, 0),
         );
-        let samples = collect_labels(&tasks, &JointSpace::tiny(), &cfg);
+        let space = JointSpace::tiny();
+        let pool = shared_pool(&space, &cfg);
+        let samples: Vec<TaskSamples> = tasks
+            .iter()
+            .enumerate()
+            .map(|(ti, t)| label_task(t, ti, &pool, &space, &cfg))
+            .collect();
         assert!(samples[0].shared[1].quarantined);
         assert!(samples[0].shared[1].score.is_infinite());
         assert!(samples[1].random[0].quarantined);
@@ -767,11 +597,9 @@ mod tests {
         // Epochs 0..2 + serialize + restore + epochs 2..4 must equal an
         // uninterrupted 4-epoch run: same losses, same parameters, bit for
         // bit. This is the property the crash-safe pipeline builds on.
-        let tasks = tiny_tasks(2);
-        let mut emb = tiny_embedder();
         let space = JointSpace::tiny();
         let cfg = PretrainConfig { epochs: 4, ..PretrainConfig::test() };
-        let bank = collect_bank(tasks, &mut emb, &space, &cfg);
+        let bank = tiny_bank(&cfg);
 
         let mut tahc_a = Tahc::new(TahcConfig::test(), space.hyper.clone(), 0);
         let report_a = pretrain_tahc(&mut tahc_a, &bank, &cfg);
@@ -801,11 +629,9 @@ mod tests {
 
     #[test]
     fn transient_pretrain_nan_rolls_back_and_recovers() {
-        let tasks = tiny_tasks(2);
-        let mut emb = tiny_embedder();
         let space = JointSpace::tiny();
         let cfg = PretrainConfig { epochs: 4, ..PretrainConfig::test() };
-        let bank = collect_bank(tasks, &mut emb, &space, &cfg);
+        let bank = tiny_bank(&cfg);
         let _scope = octs_fault::FaultScope::activate(octs_fault::FaultPlan::new().pretrain_nan(1));
         let mut tahc = Tahc::new(TahcConfig::test(), space.hyper.clone(), 0);
         let report = pretrain_tahc(&mut tahc, &bank, &cfg);
@@ -824,11 +650,9 @@ mod tests {
         // exists for: the hold-out evaluation consults the pathway once per
         // comparison with only one distinct prelim per task, so after
         // pretraining the stats must show real hits, not a dead cache.
-        let tasks = tiny_tasks(2);
-        let mut emb = tiny_embedder();
         let space = JointSpace::tiny();
         let cfg = PretrainConfig::test();
-        let bank = collect_bank(tasks, &mut emb, &space, &cfg);
+        let bank = tiny_bank(&cfg);
         let mut tahc = Tahc::new(TahcConfig::test(), space.hyper.clone(), 3);
         assert!(tahc.cfg.task_aware, "fixture must exercise the task pathway");
         let report = pretrain_tahc(&mut tahc, &bank, &cfg);
@@ -839,7 +663,7 @@ mod tests {
             "repeated-task evaluation must hit the task-pathway cache: {stats:?}"
         );
         assert!(
-            stats.misses <= bank.tasks.len(),
+            stats.misses <= bank.len(),
             "one distinct prelim per task allows at most one miss each: {stats:?}"
         );
         assert!(stats.hit_rate() > 0.0);
@@ -848,11 +672,9 @@ mod tests {
     #[test]
     fn pretraining_improves_over_chance() {
         let _quiet = quiet();
-        let tasks = tiny_tasks(2);
-        let mut emb = tiny_embedder();
         let space = JointSpace::tiny();
         let cfg = PretrainConfig { epochs: 8, ..PretrainConfig::test() };
-        let bank = collect_bank(tasks, &mut emb, &space, &cfg);
+        let bank = tiny_bank(&cfg);
         let mut tahc = Tahc::new(TahcConfig::test(), space.hyper.clone(), 0);
         let report = pretrain_tahc(&mut tahc, &bank, &cfg);
         assert_eq!(report.epoch_losses.len(), 8);

@@ -1,20 +1,21 @@
-//! Streamed bank collection: label tasks one at a time as they flow out of a
-//! shard cursor, keeping only the task-free residue the trainer reads.
+//! Streamed labelling: label tasks one at a time as they flow past, keeping
+//! only the task-free residue the trainer reads.
 //!
-//! The in-memory pipeline ([`crate::pretrain::collect_bank`]) holds every
-//! [`ForecastTask`] — dataset included — for the whole run. At thousands of
-//! tasks that is gigabytes of resident data the training loop never touches:
 //! [`crate::pretrain::TahcTrainer`] reads only the preliminary embeddings and
-//! the labelled samples. The functions here exploit that split. Each task is
+//! the labelled samples, never the datasets, which are ~99% of a bank's
+//! bytes. Every pre-training entry point exploits that split. Each task is
 //! embedded and labelled the moment it arrives, its `(prelim, samples)` pair
 //! is appended to a [`LabeledBank`], and the task (with its dataset) is
 //! dropped — peak memory is the streaming window, not the bank.
+//! [`collect_labeled_bank`] is the single-consumer loop behind
+//! `AutoCts::pretrain`; the journaled driver in the `autocts` crate calls
+//! [`label_task`] per shard on its own workers.
 //!
 //! Determinism contract: [`label_task`] depends only on `(task, ti, space,
 //! cfg)` — the shared pool comes from the master seed, the task's random
 //! samples from the per-task RNG substream — so any partition of tasks
 //! across workers, any arrival order and any prefetch window reproduces the
-//! in-memory pipeline's labels byte for byte.
+//! same labels byte for byte.
 
 use crate::pretrain::{label_one, task_label_units, LabeledBank, PretrainConfig, TaskSamples};
 use crate::task_embed::TaskEmbedder;
@@ -23,8 +24,8 @@ use octs_space::{ArchHyper, JointSpace};
 use rayon::prelude::*;
 
 /// Labels a single task against the shared pool and its own random samples
-/// (parallel over the task's units). Equivalent to the task's slice of
-/// [`crate::pretrain::collect_labels`].
+/// (parallel over the task's units). Candidates that diverge or panic are
+/// quarantined, not fatal.
 pub fn label_task(
     task: &ForecastTask,
     ti: usize,
@@ -52,9 +53,9 @@ pub fn label_task(
 /// (task 0, 1, 2, …) — the single-consumer shape; sharded workers use
 /// [`label_task`] directly with their own index bookkeeping.
 ///
-/// Byte-identical to [`crate::pretrain::collect_bank`] on the same task
-/// list: the embedder is frozen (no RNG consumed per task) and every label
-/// derives from per-task substreams.
+/// Byte-identical to labelling each task alone with [`label_task`]: the
+/// embedder is frozen (no RNG consumed per task) and every label derives
+/// from per-task substreams.
 pub fn collect_labeled_bank<I>(
     stream: I,
     embedder: &mut TaskEmbedder,
@@ -64,7 +65,7 @@ pub fn collect_labeled_bank<I>(
 where
     I: IntoIterator<Item = (usize, ForecastTask)>,
 {
-    let _obs = octs_obs::span("phase.label_stream");
+    let _obs = octs_obs::span("phase.label");
     let shared = crate::pretrain::shared_pool(space, cfg);
     let mut bank = LabeledBank::default();
     for (ti, task) in stream {
@@ -80,7 +81,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pretrain::{collect_bank, shared_pool};
+    use crate::pretrain::shared_pool;
     use crate::task_embed::TaskEmbedConfig;
     use crate::ts2vec::Ts2VecConfig;
     use octs_data::{DatasetProfile, Domain, ForecastSetting};
@@ -109,24 +110,33 @@ mod tests {
     }
 
     #[test]
-    fn streamed_bank_matches_in_memory_byte_for_byte() {
+    fn streamed_bank_matches_per_task_labelling_byte_for_byte() {
+        // The journaled driver labels shard by shard on a cloned embedder, in
+        // whatever order its workers reach the shards. Embedding and
+        // labelling each task alone, in reverse, must reproduce the streamed
+        // bank byte for byte.
         let tasks = tiny_tasks(3);
         let space = JointSpace::tiny();
         let cfg = PretrainConfig { l_shared: 3, l_random: 3, ..PretrainConfig::test() };
 
         let mut emb_a = tiny_embedder();
-        let in_memory = collect_bank(tasks.clone(), &mut emb_a, &space, &cfg);
+        let pool = shared_pool(&space, &cfg);
+        let mut per_task: Vec<_> = tasks
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(ti, t)| (emb_a.preliminary(t), label_task(t, ti, &pool, &space, &cfg)))
+            .collect();
+        per_task.reverse();
 
         let mut emb_b = tiny_embedder();
         let streamed =
             collect_labeled_bank(tasks.into_iter().enumerate(), &mut emb_b, &space, &cfg);
 
-        assert_eq!(streamed.len(), in_memory.tasks.len());
-        for (a, b) in streamed.prelims.iter().zip(&in_memory.prelims) {
-            assert_eq!(a.data(), b.data(), "prelims must be byte-identical");
-        }
-        for (a, b) in streamed.samples.iter().zip(&in_memory.samples) {
-            for (x, y) in a.shared.iter().chain(&a.random).zip(b.shared.iter().chain(&b.random)) {
+        assert_eq!(streamed.len(), per_task.len());
+        for ((p, s), (q, t)) in streamed.prelims.iter().zip(&streamed.samples).zip(&per_task) {
+            assert_eq!(p.data(), q.data(), "prelims must be byte-identical");
+            for (x, y) in s.shared.iter().chain(&s.random).zip(t.shared.iter().chain(&t.random)) {
                 assert_eq!(x.ah, y.ah);
                 assert_eq!(x.score.to_bits(), y.score.to_bits());
                 assert_eq!(x.quarantined, y.quarantined);
@@ -145,7 +155,7 @@ mod tests {
 
         let alone = label_task(&tasks[2], 2, &pool, &space, &cfg);
         let mut emb = tiny_embedder();
-        let full = collect_bank(tasks, &mut emb, &space, &cfg);
+        let full = collect_labeled_bank(tasks.into_iter().enumerate(), &mut emb, &space, &cfg);
         for (x, y) in alone
             .shared
             .iter()

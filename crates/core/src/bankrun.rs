@@ -1,35 +1,40 @@
-//! Sharded, streaming, crash-safe pre-training over a disk-resident task
-//! bank: the scale-out counterpart of [`crate::pipeline`].
+//! Crash-safe, resumable pre-training: the one journaled driver behind
+//! [`AutoCts::pretrain_bank_journaled`] and [`AutoCts::pretrain_journaled`].
 //!
-//! Where [`AutoCts::pretrain_journaled`] holds every [`octs_data::ForecastTask`]
-//! in memory for the whole run, this pipeline streams tasks out of a bank
-//! written by [`octs_data::write_bank`] and keeps only the task-free residue
-//! the trainer reads (preliminary embeddings + labelled samples), so peak
-//! memory is O(prefetch window + residue) instead of O(bank).
+//! The driver reads its tasks from a source cut into shards:
+//! - a task bank on disk written by [`octs_data::write_bank`], streamed one
+//!   shard at a time; the task encoder trains on shard 0's datasets;
+//! - an in-memory task list, where shard `s` is task `s` alone; the task
+//!   encoder trains on every task, exactly as [`AutoCts::pretrain`] does.
+//!
+//! Either way the trainer keeps only the task-free residue it reads
+//! (preliminary embeddings + labelled samples, an
+//! [`octs_comparator::LabeledBank`]), and every run directory has the same
+//! layout:
 //!
 //! ```text
 //! run_dir/
-//!   progress.journal           fingerprint, encoder, per-shard, per-epoch records
+//!   progress.journal           fingerprint, encoder, per-shard, per-epoch, done records
 //!   encoder.ckpt               task-encoder parameters
-//!   shard_labels_00000.ckpt    one labelled-shard sidecar per bank shard
+//!   shard_labels_00000.ckpt    one labelled-shard sidecar per shard
 //!   ...
 //!   epoch_0001.ckpt            TahcTrainerState at each comparator epoch
-//!   pretrained.ckpt            the final pre-trained T-AHC artifact
+//!   pretrained.ckpt            the final pre-trained system, see AutoCts::load_artifact
 //! ```
 //!
 //! Determinism contract:
-//! - shard `s` is owned by worker `s % workers`
-//!   ([`octs_data::BankManifest::shards_for_worker`]), but every label is a
-//!   pure function of `(task, task_idx, space, cfg)` — per-task RNG
-//!   substreams, a master-seeded shared pool, and a frozen cloned embedder —
-//!   so the merged result is **byte-identical for any worker count and any
-//!   prefetch window**;
+//! - shard `s` is owned by worker `s % workers`, but every label is a pure
+//!   function of `(task, task_idx, space, cfg)` — per-task RNG substreams, a
+//!   master-seeded shared pool, and a frozen cloned embedder — so the merged
+//!   result is **byte-identical for any worker count and any prefetch
+//!   window**;
 //! - the journal records progress at shard granularity; a run killed at any
-//!   shard boundary (or anywhere else) resumes from completed sidecars and
+//!   journal append (or anywhere else) resumes from completed sidecars and
 //!   finishes bit-for-bit identical to an uninterrupted run;
 //! - the run fingerprint covers the system + pre-training configuration and
-//!   the bank's content fingerprint, *not* `workers`/`prefetch` — those are
-//!   execution geometry, free to change across resumes.
+//!   the source's content (the bank's fingerprint, or a checksum over every
+//!   in-memory task), *not* `workers`/`prefetch` — those are execution
+//!   geometry, free to change across resumes.
 
 use crate::error::CoreError;
 use crate::facade::AutoCts;
@@ -37,18 +42,20 @@ use crate::journal::{Journal, Record};
 use crate::persist;
 use octs_comparator::{
     label_task, shared_pool, LabeledAh, LabeledBank, PretrainConfig, PretrainReport, TahcTrainer,
-    TahcTrainerState, TaskSamples,
+    TahcTrainerState, TaskEmbedder, TaskSamples,
 };
-use octs_data::bank::MANIFEST_FILE;
-use octs_data::{BankManifest, BankStream, ShardError};
+use octs_data::{BankManifest, BankStream, ForecastTask, ShardError};
 use octs_space::ArchHyper;
 use octs_tensor::{ParamStore, Tensor};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Schema version of the sidecar envelopes written by the bank pipeline.
+/// Schema version of the sidecar envelopes written by the journaled driver.
 pub const BANKRUN_VERSION: u32 = 1;
+
+/// File name of the progress journal inside a run directory.
+pub const JOURNAL_FILE: &str = "progress.journal";
 
 /// File name of the pre-trained T-AHC artifact inside a run directory.
 pub const ARTIFACT_FILE: &str = "pretrained.ckpt";
@@ -126,6 +133,93 @@ fn sidecar_name(shard: usize) -> String {
     format!("shard_labels_{shard:05}.ckpt")
 }
 
+/// Where the driver reads its tasks from. Each shard is a contiguous range
+/// of task indices.
+enum TaskSource<'a> {
+    /// A bank on disk; its manifest was validated on load, so shards are
+    /// contiguous, non-empty in total, and sum to `n_tasks`.
+    Bank { dir: &'a Path, manifest: BankManifest },
+    /// An in-memory task list; shard `s` is task `s`.
+    Memory(&'a [ForecastTask]),
+}
+
+impl TaskSource<'_> {
+    fn n_shards(&self) -> usize {
+        match self {
+            Self::Bank { manifest, .. } => manifest.shards.len(),
+            Self::Memory(tasks) => tasks.len(),
+        }
+    }
+
+    /// First task index and task count of shard `s`.
+    fn shard(&self, s: usize) -> (usize, usize) {
+        match self {
+            Self::Bank { manifest, .. } => (manifest.shards[s].start, manifest.shards[s].tasks),
+            Self::Memory(_) => (s, 1),
+        }
+    }
+
+    /// Content identity bound into the run fingerprint: the bank's recipe
+    /// fingerprint, or fnv64 over every in-memory task's record checksum
+    /// (the bank's per-shard checksum convention).
+    fn fingerprint(&self) -> Result<String, CoreError> {
+        match self {
+            Self::Bank { manifest, .. } => Ok(manifest.fingerprint.clone()),
+            Self::Memory(tasks) => {
+                let mut sums = Vec::with_capacity(tasks.len() * 8);
+                for t in tasks.iter() {
+                    let json = serde_json::to_string(t).map_err(|e| {
+                        CoreError::corrupt("<tasks>", format!("task serialization: {e}"))
+                    })?;
+                    sums.extend_from_slice(&persist::fnv64(json.as_bytes()).to_le_bytes());
+                }
+                Ok(format!("{:016x}", persist::fnv64(&sums)))
+            }
+        }
+    }
+
+    /// Self-supervised task-encoder training: on shard 0's datasets for a
+    /// bank (the whole bank when it fits one shard, which is what pins the
+    /// bank path to [`AutoCts::pretrain`]), on every task in memory.
+    fn train_encoder(&self, embedder: &mut TaskEmbedder, prefetch: usize) -> Result<(), CoreError> {
+        let streamed: Vec<ForecastTask>;
+        let tasks = match self {
+            Self::Bank { dir, manifest } => {
+                streamed = BankStream::open(dir, manifest, &[0], prefetch)
+                    .map(|r| r.map(|(_, t)| t))
+                    .collect::<Result<_, _>>()
+                    .map_err(lift)?;
+                &streamed[..]
+            }
+            Self::Memory(tasks) => tasks,
+        };
+        let datasets: Vec<&octs_data::CtsData> = tasks.iter().map(|t| &t.data).collect();
+        embedder.pretrain_encoder(&datasets);
+        Ok(())
+    }
+
+    /// Calls `f(task_idx, task)` for every task of shard `s`, in order. A
+    /// streamed task drops right after `f`: its dataset never outlives its
+    /// labelling.
+    fn for_each_task(
+        &self,
+        s: usize,
+        prefetch: usize,
+        mut f: impl FnMut(usize, &ForecastTask),
+    ) -> Result<(), CoreError> {
+        match self {
+            Self::Bank { dir, manifest } => {
+                for item in BankStream::open(dir, manifest, &[s], prefetch) {
+                    let (ti, task) = item.map_err(lift)?;
+                    f(ti, &task);
+                }
+            }
+            Self::Memory(tasks) => f(s, &tasks[s]),
+        }
+        Ok(())
+    }
+}
+
 impl AutoCts {
     /// Pre-trains from a task bank on disk, streaming shards through
     /// labelling workers under a progress journal in `run_dir`.
@@ -141,17 +235,85 @@ impl AutoCts {
         run_dir: impl AsRef<Path>,
         opts: &BankRunOptions,
     ) -> Result<PretrainReport, CoreError> {
-        let bank_dir = bank_dir.as_ref();
-        let run_dir = run_dir.as_ref();
+        let dir = bank_dir.as_ref();
+        let manifest = BankManifest::load(dir).map_err(lift)?;
+        self.pretrain_from(&TaskSource::Bank { dir, manifest }, cfg, run_dir.as_ref(), opts)
+    }
+
+    /// Pre-trains like [`AutoCts::pretrain`], but journals progress to `dir`
+    /// so a killed run can be resumed. Calling this again on the same
+    /// directory — from this process or a fresh one built with the same
+    /// configuration and tasks — skips every completed task and produces
+    /// results byte-identical to an uninterrupted run, ending with the
+    /// [`ARTIFACT_FILE`] that [`AutoCts::load_artifact`] restores. A
+    /// directory written under a different configuration or task list is
+    /// refused with [`CoreError::Mismatch`].
+    pub fn pretrain_journaled(
+        &mut self,
+        tasks: Vec<ForecastTask>,
+        cfg: &PretrainConfig,
+        dir: impl AsRef<Path>,
+    ) -> Result<PretrainReport, CoreError> {
+        assert!(!tasks.is_empty(), "pretraining needs at least one task");
+        let opts = BankRunOptions::default();
+        self.pretrain_from(&TaskSource::Memory(&tasks), cfg, dir.as_ref(), &opts)
+    }
+
+    /// Builds a fresh system and drives [`AutoCts::pretrain_journaled`]
+    /// against an existing run directory — the one-call "restart a killed
+    /// run" entry point. With an empty or absent directory it simply
+    /// performs the full run.
+    pub fn resume(
+        cfg: crate::facade::AutoCtsConfig,
+        tasks: Vec<ForecastTask>,
+        pre_cfg: &PretrainConfig,
+        dir: impl AsRef<Path>,
+    ) -> Result<(Self, PretrainReport), CoreError> {
+        let mut sys = AutoCts::new(cfg);
+        let report = sys.pretrain_journaled(tasks, pre_cfg, dir)?;
+        Ok((sys, report))
+    }
+
+    /// Builds a fresh system and drives [`AutoCts::pretrain_bank_journaled`]
+    /// against an existing run directory — the "restart a killed bank run"
+    /// entry point, possibly under different execution geometry.
+    pub fn resume_bank(
+        cfg: crate::facade::AutoCtsConfig,
+        bank_dir: impl AsRef<Path>,
+        pre_cfg: &PretrainConfig,
+        run_dir: impl AsRef<Path>,
+        opts: &BankRunOptions,
+    ) -> Result<(Self, PretrainReport), CoreError> {
+        let mut sys = AutoCts::new(cfg);
+        let report = sys.pretrain_bank_journaled(bank_dir, pre_cfg, run_dir, opts)?;
+        Ok((sys, report))
+    }
+
+    /// Restores a pre-trained system from a journaled run directory's
+    /// artifact — the consumer-side entry point for sub-second zero-shot
+    /// ranking via [`AutoCts::rank`].
+    pub fn load_artifact(run_dir: impl AsRef<Path>) -> Result<Self, CoreError> {
+        Self::load(run_dir.as_ref().join(ARTIFACT_FILE))
+    }
+
+    /// The journaled driver: fingerprint, encoder, shard labelling, epochs,
+    /// artifact — each phase replayed from the journal or recomputed.
+    fn pretrain_from(
+        &mut self,
+        source: &TaskSource<'_>,
+        cfg: &PretrainConfig,
+        run_dir: &Path,
+        opts: &BankRunOptions,
+    ) -> Result<PretrainReport, CoreError> {
         assert!(opts.workers > 0, "need at least one worker");
-        let manifest = BankManifest::load(bank_dir).map_err(lift)?;
-        assert!(manifest.n_tasks > 0, "pretraining needs at least one task");
         std::fs::create_dir_all(run_dir).map_err(|e| CoreError::io(run_dir, "create_dir", e))?;
-        let journal_path = run_dir.join(crate::pipeline::JOURNAL_FILE);
+        let journal_path = run_dir.join(JOURNAL_FILE);
         let (mut journal, records) = Journal::open(&journal_path)?;
 
-        // Phase 0: fingerprint — system + pretrain config + bank contents.
-        let fingerprint = self.bank_fingerprint(cfg, &manifest)?;
+        // Phase 0: fingerprint — system + pretrain config + task content. A
+        // journal written for other knobs or other tasks would replay labels
+        // that do not belong to this run, so refuse loudly instead.
+        let fingerprint = self.run_fingerprint(cfg, source)?;
         match records.iter().find(|r| r.kind == "fingerprint") {
             Some(r) if r.detail == fingerprint => {}
             Some(r) => {
@@ -159,7 +321,7 @@ impl AutoCts {
                     path: journal_path,
                     detail: format!(
                         "journal fingerprint {} != this run's {fingerprint} \
-                         (configuration or bank changed between runs?)",
+                         (configuration or tasks changed between runs?)",
                         r.detail
                     ),
                 });
@@ -171,10 +333,7 @@ impl AutoCts {
             }
         }
 
-        // Phase 1: task encoder, self-supervised on shard 0's datasets (the
-        // whole bank when it fits one shard, which is what pins streamed
-        // equality to the in-memory path). Restored from its sidecar on
-        // resume.
+        // Phase 1: task encoder. Restored from its sidecar on resume.
         let obs_encoder = octs_obs::span("phase.encoder");
         let encoder_ckpt = run_dir.join("encoder.ckpt");
         if records.iter().any(|r| r.kind == "encoder") {
@@ -185,14 +344,7 @@ impl AutoCts {
             self.embedder.encoder_mut().ps = ps;
             self.embedder.encoder_mut().mark_trained();
         } else {
-            let tasks: Vec<octs_data::ForecastTask> =
-                BankStream::open(bank_dir, &manifest, &[0], opts.prefetch)
-                    .map(|r| r.map(|(_, t)| t))
-                    .collect::<Result<_, _>>()
-                    .map_err(lift)?;
-            let datasets: Vec<&octs_data::CtsData> = tasks.iter().map(|t| &t.data).collect();
-            self.embedder.pretrain_encoder(&datasets);
-            drop(tasks);
+            source.train_encoder(&mut self.embedder, opts.prefetch)?;
             let json = serde_json::to_string(&self.embedder.encoder().ps).map_err(|e| {
                 CoreError::corrupt(&encoder_ckpt, format!("encoder serialization: {e}"))
             })?;
@@ -205,19 +357,18 @@ impl AutoCts {
         drop(obs_encoder);
 
         // Phase 2: shard labelling. Completed shards replay from their
-        // sidecars; the rest are streamed by the workers, each shard's
+        // sidecars; the rest are labelled by the workers, each shard's
         // labels journaled the moment its sidecar lands.
         let obs_label = octs_obs::span("phase.label");
+        let n_shards = source.n_shards();
         let done: std::collections::BTreeSet<u64> =
             records.iter().filter(|r| r.kind == "shard").map(|r| r.unit).collect();
         octs_obs::counter("bankrun.shards_replayed", done.len() as u64);
-        octs_obs::counter("bankrun.shards_fresh", (manifest.shards.len() - done.len()) as u64);
+        octs_obs::counter("bankrun.shards_fresh", (n_shards - done.len()) as u64);
         let todo_per_worker: Vec<Vec<usize>> = (0..opts.workers)
             .map(|w| {
-                manifest
-                    .shards_for_worker(w, opts.workers)
-                    .into_iter()
-                    .filter(|s| !done.contains(&(*s as u64)))
+                (0..n_shards)
+                    .filter(|s| s % opts.workers == w && !done.contains(&(*s as u64)))
                     .collect()
             })
             .collect();
@@ -230,44 +381,34 @@ impl AutoCts {
             std::thread::scope(|scope| {
                 for shards in &todo_per_worker {
                     let (pool, journal_mx, failure) = (&pool, &journal_mx, &failure);
-                    let manifest = &manifest;
                     scope.spawn(move || {
                         let mut embedder = embedder.clone();
                         for &s in shards {
                             if failure.lock().unwrap().is_some() {
                                 return; // another worker already failed: stop
                             }
-                            let stream = BankStream::open(bank_dir, manifest, &[s], opts.prefetch);
-                            let info = &manifest.shards[s];
+                            let (start, len) = source.shard(s);
                             let mut labels = ShardLabels {
                                 shard: s as u64,
-                                start: info.start,
-                                prelims: Vec::with_capacity(info.tasks),
-                                samples: Vec::with_capacity(info.tasks),
+                                start,
+                                prelims: Vec::with_capacity(len),
+                                samples: Vec::with_capacity(len),
                             };
-                            for item in stream {
-                                let (ti, task) = match item {
-                                    Ok(x) => x,
-                                    Err(e) => {
-                                        failure.lock().unwrap().get_or_insert(lift(e));
-                                        return;
-                                    }
-                                };
-                                labels.prelims.push(embedder.preliminary(&task));
-                                labels
-                                    .samples
-                                    .push(SampleRec::of(&label_task(&task, ti, pool, space, cfg)));
-                                // task drops here: the dataset never outlives
-                                // its labelling.
-                            }
                             let name = sidecar_name(s);
                             let path = run_dir.join(&name);
-                            let outcome = serde_json::to_string(&labels)
-                                .map_err(|e| {
-                                    CoreError::corrupt(
-                                        &path,
-                                        format!("shard labels serialization: {e}"),
-                                    )
+                            let outcome = source
+                                .for_each_task(s, opts.prefetch, |ti, task| {
+                                    labels.prelims.push(embedder.preliminary(task));
+                                    let samples = label_task(task, ti, pool, space, cfg);
+                                    labels.samples.push(SampleRec::of(&samples));
+                                })
+                                .and_then(|()| {
+                                    serde_json::to_string(&labels).map_err(|e| {
+                                        CoreError::corrupt(
+                                            &path,
+                                            format!("shard labels serialization: {e}"),
+                                        )
+                                    })
                                 })
                                 .and_then(|json| {
                                     persist::write_envelope(&path, BANKRUN_VERSION, &json)
@@ -295,40 +436,39 @@ impl AutoCts {
 
         // Phase 2b: merge sidecars in shard order into the task-free
         // residue. Shards cover contiguous index ranges, so shard order is
-        // task order — no re-sort needed, just a start-offset audit.
+        // task order — no re-sort needed, just an audit of each sidecar's
+        // range against the source.
         let mut bank = LabeledBank::default();
-        for s in 0..manifest.shards.len() {
+        for s in 0..n_shards {
+            let (start, len) = source.shard(s);
             let path = run_dir.join(sidecar_name(s));
             let payload = persist::read_envelope(&path, BANKRUN_VERSION)?;
             let labels: ShardLabels = serde_json::from_str(&payload)
                 .map_err(|e| CoreError::corrupt(&path, format!("unparseable shard labels: {e}")))?;
-            if labels.shard != s as u64 || labels.start != bank.len() {
+            if labels.shard != s as u64
+                || labels.start != start
+                || labels.prelims.len() != len
+                || labels.samples.len() != len
+            {
                 return Err(CoreError::Corrupt {
                     path,
                     detail: format!(
-                        "sidecar covers shard {} from task {}, expected shard {s} from task {}",
+                        "sidecar covers shard {} from task {} ({} prelims, {} samples), \
+                         expected shard {s} from task {start} ({len} tasks)",
                         labels.shard,
                         labels.start,
-                        bank.len()
+                        labels.prelims.len(),
+                        labels.samples.len()
                     ),
                 });
             }
             bank.prelims.extend(labels.prelims);
             bank.samples.extend(labels.samples.into_iter().map(SampleRec::unpack));
         }
-        if bank.len() != manifest.n_tasks {
-            return Err(CoreError::Corrupt {
-                path: bank_dir.join(MANIFEST_FILE),
-                detail: format!(
-                    "merged {} labelled tasks, manifest promises {}",
-                    bank.len(),
-                    manifest.n_tasks
-                ),
-            });
-        }
 
-        // Phase 3: comparator epochs over the residue — identical to the
-        // in-memory pipeline, sidecar per epoch, resume from the newest.
+        // Phase 3: comparator epochs over the residue. Each completed epoch
+        // leaves a sidecar with the exact trainer state (params, optimizer
+        // moments, RNG stream); resume reloads the newest one.
         let obs_pretrain = octs_obs::span("phase.pretrain");
         let done_epochs = records.iter().filter(|r| r.kind == "epoch").count();
         let mut trainer = if done_epochs > 0 {
@@ -342,7 +482,7 @@ impl AutoCts {
             TahcTrainer::new(cfg)
         };
         while !trainer.is_done(cfg) {
-            trainer.run_epoch_on(&mut self.tahc, &bank.prelims, &bank.samples, cfg);
+            trainer.run_epoch(&mut self.tahc, &bank, cfg);
             let ckpt_name = format!("epoch_{:04}.ckpt", trainer.epoch());
             let json = serde_json::to_string(&trainer.export_state(&self.tahc)).map_err(|e| {
                 CoreError::corrupt(run_dir.join(&ckpt_name), format!("state serialization: {e}"))
@@ -356,7 +496,7 @@ impl AutoCts {
         }
         drop(obs_pretrain);
 
-        let report = trainer.finish_on(&self.tahc, &bank.prelims, &bank.samples, cfg);
+        let report = trainer.finish(&self.tahc, &bank, cfg);
         self.mark_pretrained();
         // Phase 4: the pre-trained artifact. Saving is byte-stable for an
         // unchanged system, so a resumed-after-done run rewrites it
@@ -370,34 +510,12 @@ impl AutoCts {
         Ok(report)
     }
 
-    /// Builds a fresh system and drives [`AutoCts::pretrain_bank_journaled`]
-    /// against an existing run directory — the "restart a killed bank run"
-    /// entry point, possibly under different execution geometry.
-    pub fn resume_bank(
-        cfg: crate::facade::AutoCtsConfig,
-        bank_dir: impl AsRef<Path>,
-        pre_cfg: &PretrainConfig,
-        run_dir: impl AsRef<Path>,
-        opts: &BankRunOptions,
-    ) -> Result<(Self, PretrainReport), CoreError> {
-        let mut sys = AutoCts::new(cfg);
-        let report = sys.pretrain_bank_journaled(bank_dir, pre_cfg, run_dir, opts)?;
-        Ok((sys, report))
-    }
-
-    /// Restores a pre-trained system from a bank run directory's artifact —
-    /// the consumer-side entry point for sub-second zero-shot ranking via
-    /// [`AutoCts::rank`].
-    pub fn load_artifact(run_dir: impl AsRef<Path>) -> Result<Self, CoreError> {
-        Self::load(run_dir.as_ref().join(ARTIFACT_FILE))
-    }
-
-    /// Hex fingerprint over system + pre-training configuration + bank
-    /// contents. Excludes execution geometry (workers, prefetch) by design.
-    fn bank_fingerprint(
+    /// Hex fingerprint over system + pre-training configuration + task
+    /// content. Excludes execution geometry (workers, prefetch) by design.
+    fn run_fingerprint(
         &self,
         cfg: &PretrainConfig,
-        manifest: &BankManifest,
+        source: &TaskSource<'_>,
     ) -> Result<String, CoreError> {
         let sys = serde_json::to_string(&self.cfg).map_err(|e| {
             CoreError::corrupt("<config>", format!("system config serialization: {e}"))
@@ -405,7 +523,7 @@ impl AutoCts {
         let pre = serde_json::to_string(cfg).map_err(|e| {
             CoreError::corrupt("<config>", format!("pretrain config serialization: {e}"))
         })?;
-        let bank = &manifest.fingerprint;
-        Ok(format!("{:016x}", persist::fnv64(format!("{sys}\n{pre}\n{bank}").as_bytes())))
+        let tasks = source.fingerprint()?;
+        Ok(format!("{:016x}", persist::fnv64(format!("{sys}\n{pre}\n{tasks}").as_bytes())))
     }
 }

@@ -1,8 +1,8 @@
 //! The high-level `AutoCts` entry point: pre-train once, search anywhere.
 
 use octs_comparator::{
-    collect_bank, pretrain_tahc, PretrainConfig, PretrainReport, Tahc, TahcConfig, TaskEmbedConfig,
-    TaskEmbedder, Ts2VecConfig,
+    collect_labeled_bank, pretrain_tahc, PretrainConfig, PretrainReport, Tahc, TahcConfig,
+    TaskEmbedConfig, TaskEmbedder, Ts2VecConfig,
 };
 use octs_data::ForecastTask;
 use octs_model::TrainConfig;
@@ -49,8 +49,12 @@ impl AutoCtsConfig {
 ///
 /// Typical lifecycle:
 /// 1. [`AutoCts::new`] with a configuration;
-/// 2. [`AutoCts::pretrain`] once on enriched source tasks (expensive, done
-///    offline in the paper);
+/// 2. pre-train once on enriched source tasks (expensive, done offline in
+///    the paper): [`AutoCts::pretrain`] in one go, or
+///    [`AutoCts::pretrain_journaled`] / [`AutoCts::pretrain_bank_journaled`]
+///    under a resumable journal that ends in an artifact
+///    [`AutoCts::load_artifact`] restores — all three produce the same bits
+///    on the same tasks;
 /// 3. [`AutoCts::search`] on any number of *unseen* tasks — each search is
 ///    minutes, not GPU-hours, because only the top-K finalists are trained.
 pub struct AutoCts {
@@ -84,13 +88,15 @@ impl AutoCts {
 
     /// Pre-trains the full stack on source tasks (Algorithm 1): first the
     /// TS2Vec task encoder (self-supervised on the task datasets), then the
-    /// comparator with early-validation labels, curriculum and dynamic
-    /// pairing.
+    /// early-validation labels, task by task, then the comparator with
+    /// curriculum and dynamic pairing. The unjournaled form of
+    /// [`AutoCts::pretrain_journaled`], built from the same primitives.
     pub fn pretrain(&mut self, tasks: Vec<ForecastTask>, cfg: &PretrainConfig) -> PretrainReport {
         assert!(!tasks.is_empty(), "pretraining needs at least one task");
         let datasets: Vec<&octs_data::CtsData> = tasks.iter().map(|t| &t.data).collect();
         self.embedder.pretrain_encoder(&datasets);
-        let bank = collect_bank(tasks, &mut self.embedder, &self.cfg.space, cfg);
+        let stream = tasks.into_iter().enumerate();
+        let bank = collect_labeled_bank(stream, &mut self.embedder, &self.cfg.space, cfg);
         let report = pretrain_tahc(&mut self.tahc, &bank, cfg);
         self.pretrained = true;
         report

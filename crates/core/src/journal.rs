@@ -17,9 +17,9 @@ use std::path::{Path, PathBuf};
 /// unused fields stay at their zero values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
-    /// `"fingerprint"`, `"encoder"`, `"label"`, `"epoch"` or `"done"`.
+    /// `"fingerprint"`, `"encoder"`, `"shard"`, `"epoch"` or `"done"`.
     pub kind: String,
-    /// Labelling unit id (for `label` records).
+    /// Shard index (for `shard` records).
     pub unit: u64,
     /// Raw `f32::to_bits` of the label score — bit-exact across the
     /// write/replay cycle, which byte-identical resume depends on.

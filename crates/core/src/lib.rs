@@ -42,14 +42,12 @@ pub mod error;
 pub mod facade;
 pub mod journal;
 pub mod persist;
-pub mod pipeline;
 
-pub use bankrun::{BankRunOptions, ARTIFACT_FILE, BANKRUN_VERSION};
+pub use bankrun::{BankRunOptions, ARTIFACT_FILE, BANKRUN_VERSION, JOURNAL_FILE};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 pub use error::CoreError;
 pub use facade::{AutoCts, AutoCtsConfig};
 pub use journal::{Journal, Record};
-pub use pipeline::{JOURNAL_FILE, PIPELINE_VERSION};
 
 // The deterministic fault-injection harness, re-exported so integration
 // tests and benches reach it through the facade.

@@ -19,16 +19,9 @@ use std::path::Path;
 /// Envelope magic — identifies the file family regardless of payload kind.
 pub const MAGIC: &str = "OCTS";
 
-/// FNV-1a 64-bit hash: tiny, dependency-free, and plenty for detecting torn
-/// or bit-rotted checkpoint payloads (not a cryptographic signature).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The workspace's one checksum, shared with the data crate's shard frames
+/// and bank manifests.
+pub use octs_data::io::fnv64;
 
 /// First line of every envelope. The checksum is hex-encoded because the
 /// vendored JSON parser goes through `f64` for numbers and would silently
@@ -116,13 +109,6 @@ mod tests {
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("octs_persist_{name}_{}", std::process::id()))
-    }
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

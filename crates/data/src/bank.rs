@@ -184,7 +184,8 @@ fn write_manifest(dir: &Path, manifest: &BankManifest) -> Result<(), ShardError>
 
 impl BankManifest {
     /// Loads and validates a bank's manifest (magic, version, length,
-    /// checksum — every mismatch is a typed, located error).
+    /// checksum, then the shard table's structure — every mismatch is a
+    /// typed, located error).
     pub fn load(dir: impl AsRef<Path>) -> Result<Self, ShardError> {
         let path = dir.as_ref().join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&path).map_err(|e| ShardError::Io {
@@ -227,16 +228,33 @@ impl BankManifest {
         if sum != h.checksum {
             return Err(torn(format!("checksum {sum} != header {} (bit rot?)", h.checksum)));
         }
-        serde_json::from_str(payload).map_err(|e| torn(format!("unparseable manifest: {e}")))
+        let manifest: Self = serde_json::from_str(payload)
+            .map_err(|e| torn(format!("unparseable manifest: {e}")))?;
+        manifest.check_structure().map_err(torn)?;
+        Ok(manifest)
     }
 
-    /// The shard indices `worker` owns under the deterministic round-robin
-    /// assignment (`shard i → worker i % workers`). Results are merged by
-    /// task index downstream, so the pre-trained comparator is byte-identical
-    /// for any worker count.
-    pub fn shards_for_worker(&self, worker: usize, workers: usize) -> Vec<usize> {
-        assert!(workers > 0, "need at least one worker");
-        (0..self.shards.len()).filter(|s| s % workers == worker).collect()
+    /// The shard table's invariants every reader relies on: at least one
+    /// task and one shard, shards contiguous from task 0, and shard sizes
+    /// summing to `n_tasks`.
+    fn check_structure(&self) -> Result<(), String> {
+        if self.n_tasks == 0 {
+            return Err("manifest promises no tasks".into());
+        }
+        if self.shards.is_empty() {
+            return Err("manifest lists no shards".into());
+        }
+        let mut next = 0usize;
+        for (i, shard) in self.shards.iter().enumerate() {
+            if shard.start != next {
+                return Err(format!("shard {i} starts at task {}, expected {next}", shard.start));
+            }
+            next += shard.tasks;
+        }
+        if next != self.n_tasks {
+            return Err(format!("shards hold {next} tasks, manifest promises {}", self.n_tasks));
+        }
+        Ok(())
     }
 }
 
@@ -446,20 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_shard_assignment_partitions_all_shards() {
-        let cfg = tiny_cfg(10, 2);
-        let dir = tmp_dir("workers");
-        let manifest = write_bank(&dir, &cfg).unwrap();
-        for workers in [1usize, 2, 3, 4] {
-            let mut seen: Vec<usize> =
-                (0..workers).flat_map(|w| manifest.shards_for_worker(w, workers)).collect();
-            seen.sort_unstable();
-            assert_eq!(seen, (0..manifest.shards.len()).collect::<Vec<_>>(), "{workers} workers");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn early_drop_shuts_reader_down() {
         let cfg = tiny_cfg(6, 2);
         let dir = tmp_dir("drop");
@@ -498,6 +502,57 @@ mod tests {
         let text = std::fs::read_to_string(&mpath).unwrap();
         std::fs::write(&mpath, &text[..text.len() - 9]).unwrap();
         assert!(matches!(BankManifest::load(&dir), Err(ShardError::Torn { .. })));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writes a `mutate`d copy of `dir`'s manifest under a fresh checksum and
+    /// returns the detail of the structural error loading it reports.
+    fn structural_error(dir: &Path, mutate: impl FnOnce(&mut BankManifest)) -> String {
+        let mut manifest = BankManifest::load(dir).unwrap();
+        mutate(&mut manifest);
+        write_manifest(dir, &manifest).unwrap();
+        match BankManifest::load(dir) {
+            Err(ShardError::Torn { detail, .. }) => detail,
+            other => panic!("want Torn, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn manifest_with_no_tasks_is_torn() {
+        let dir = tmp_dir("no_tasks");
+        write_bank(&dir, &tiny_cfg(4, 2)).unwrap();
+        let detail = structural_error(&dir, |m| {
+            m.n_tasks = 0;
+            m.shards.clear();
+        });
+        assert!(detail.contains("no tasks"), "{detail}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_with_no_shards_is_torn() {
+        let dir = tmp_dir("no_shards");
+        write_bank(&dir, &tiny_cfg(4, 2)).unwrap();
+        let detail = structural_error(&dir, |m| m.shards.clear());
+        assert!(detail.contains("no shards"), "{detail}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_with_non_contiguous_shards_is_torn() {
+        let dir = tmp_dir("gap");
+        write_bank(&dir, &tiny_cfg(6, 2)).unwrap();
+        let detail = structural_error(&dir, |m| m.shards[1].start = 3);
+        assert!(detail.contains("shard 1 starts at task 3, expected 2"), "{detail}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_whose_shards_miss_n_tasks_is_torn() {
+        let dir = tmp_dir("short");
+        write_bank(&dir, &tiny_cfg(6, 2)).unwrap();
+        let detail = structural_error(&dir, |m| m.n_tasks = 7);
+        assert!(detail.contains("shards hold 6 tasks, manifest promises 7"), "{detail}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

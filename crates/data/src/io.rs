@@ -154,9 +154,10 @@ pub const SHARD_MAGIC: &str = "OCTS-SHARD";
 /// Schema version of the shard format this build reads and writes.
 pub const SHARD_VERSION: u32 = 1;
 
-/// FNV-1a 64-bit hash — the same checksum convention the `core/persist`
-/// envelopes and the progress journal use (duplicated here because the data
-/// crate sits below the core crate in the dependency order).
+/// FNV-1a 64-bit hash: tiny, dependency-free, and plenty for detecting torn
+/// or bit-rotted payloads (not a cryptographic signature). The workspace's
+/// one checksum: shard frames, bank manifests, and (re-exported as
+/// `autocts::persist::fnv64`) the checkpoint envelopes and progress journal.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -445,6 +446,13 @@ mod tests {
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("octs_io_{name}_{}.csv", std::process::id()))
+    }
+
+    #[test]
+    fn fnv64_matches_reference_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

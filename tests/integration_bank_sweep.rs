@@ -74,13 +74,26 @@ struct BankGolden {
 
 #[test]
 fn single_shard_bank_matches_in_memory_pretrain_and_golden() {
+    // All three pre-training entry points on the same tasks land on the
+    // golden bits: `pretrain` (no journal), `pretrain_journaled` (in-memory
+    // tasks, one shard per task) and `pretrain_bank_journaled` (one bank
+    // shard, so the encoder sees the same datasets).
     let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
-    let cfg = bank_cfg(4, 4); // one shard: encoder sees the same datasets
+    let cfg = bank_cfg(4, 4);
     let pre = pre_cfg();
 
     let tasks: Vec<ForecastTask> = (0..cfg.n_tasks).map(|i| cfg.task(i)).collect();
     let mut in_memory = AutoCts::new(AutoCtsConfig::test());
-    let mem_report = in_memory.pretrain(tasks, &pre);
+    let mem_report = in_memory.pretrain(tasks.clone(), &pre);
+
+    let journaled_dir = tmp_dir("golden_journaled");
+    let mut journaled = AutoCts::new(AutoCtsConfig::test());
+    let journaled_report = journaled.pretrain_journaled(tasks, &pre, &journaled_dir).unwrap();
+    assert_same(
+        (&in_memory, &mem_report),
+        (&journaled, &journaled_report),
+        "journaled vs in-memory",
+    );
 
     let bank_dir = tmp_dir("golden_bank");
     write_bank(&bank_dir, &cfg).unwrap();
@@ -108,6 +121,7 @@ fn single_shard_bank_matches_in_memory_pretrain_and_golden() {
 
     std::fs::remove_dir_all(&bank_dir).ok();
     std::fs::remove_dir_all(&run_dir).ok();
+    std::fs::remove_dir_all(&journaled_dir).ok();
 }
 
 #[test]

@@ -11,7 +11,8 @@
 use autocts::fault::{FaultPlan, FaultScope};
 use autocts::prelude::*;
 use autocts::search::{autocts_plus_search_with_pool, AutoCtsPlusConfig};
-use autocts::{AutoCts, JOURNAL_FILE};
+use autocts::AutoCts;
+use octs_obs::{ObsScope, Recorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -88,9 +89,9 @@ fn faulted_search_is_deterministic() {
 
 #[test]
 fn journaled_pretraining_absorbs_faults_and_replays_them_from_the_journal() {
-    // Pre-training with faulted labelling units must complete with the
-    // quarantine recorded in the journal — and a resume replays those labels
-    // from the journal instead of re-labelling, so it reaches the identical
+    // Pre-training with faulted labelling units must complete with both
+    // units quarantined — and a resume replays those labels from the task's
+    // journaled sidecar instead of re-labelling, so it reaches the identical
     // comparator even with no fault plan armed anymore.
     let tasks = || {
         let p = DatasetProfile::custom("fj", Domain::Energy, 3, 200, 24, 0.3, 0.1, 10.0, 88);
@@ -100,14 +101,15 @@ fn journaled_pretraining_absorbs_faults_and_replays_them_from_the_journal() {
     let dir = std::env::temp_dir().join(format!("octs_faultjournal_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
+    let recorder = Recorder::new();
     let (sys, report) = {
         let _scope = FaultScope::activate(FaultPlan::new().panic_unit(1).nan_loss(4, 0));
+        let _obs = ObsScope::activate(&recorder);
         AutoCts::resume(AutoCtsConfig::test(), tasks(), &cfg, &dir).unwrap()
     };
     assert!(sys.is_pretrained());
     assert!(report.epoch_losses.iter().all(|l| l.is_finite()));
-    let journal = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
-    assert_eq!(journal.matches("\"quarantined\":true").count(), 2);
+    assert_eq!(recorder.summary().events.get("label.quarantine").copied(), Some(2));
 
     // Resume with NO faults armed: quarantined labels come back from the
     // journal, so the result is still byte-identical.

@@ -80,12 +80,13 @@ fn kill_at_every_journal_boundary_resumes_byte_identical() {
 
 #[test]
 fn generated_fault_plans_resume_byte_identical() {
-    // The clean sweep above establishes n_appends; 13 here (2 header + 8
-    // labels + 2 epochs + done). Generated plans mix persistent NaN/panic
+    // The clean sweep above establishes n_appends; 7 here (2 header + 2
+    // tasks + 2 epochs + done). Generated plans mix persistent NaN/panic
     // unit faults (part of the scenario — present in the reference too) with
     // a one-shot IO kill at a generated journal boundary.
-    let n_units = 2 * (pre_cfg().l_shared + pre_cfg().l_random) as u64;
-    let n_appends = 2 + n_units + pre_cfg().epochs as u64 + 1;
+    let n_tasks = source_tasks().len() as u64;
+    let n_units = n_tasks * (pre_cfg().l_shared + pre_cfg().l_random) as u64;
+    let n_appends = 2 + n_tasks + pre_cfg().epochs as u64 + 1;
 
     for seed in [101u64, 102, 103] {
         let mut g = Gen::from_seed(seed);

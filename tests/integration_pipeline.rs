@@ -67,8 +67,9 @@ fn pretraining_learns_consistent_labels() {
     // which the tiny test-scale configs cannot average away.
     let mut sys = AutoCts::new(AutoCtsConfig::test());
     let cfg = PretrainConfig { l_shared: 6, l_random: 6, epochs: 14, ..PretrainConfig::test() };
-    let tasks = source_tasks();
-    let mut bank = octs_comparator::collect_bank(tasks, &mut sys.embedder, &sys.cfg.space, &cfg);
+    let tasks = source_tasks().into_iter().enumerate();
+    let mut bank =
+        octs_comparator::collect_labeled_bank(tasks, &mut sys.embedder, &sys.cfg.space, &cfg);
     for ts in &mut bank.samples {
         for l in ts.shared.iter_mut().chain(ts.random.iter_mut()) {
             l.score = l.ah.hyper.h as f32 + 0.01 * l.ah.hyper.b as f32;

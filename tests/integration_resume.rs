@@ -1,6 +1,6 @@
 //! Kill-and-resume integration: a journaled pre-training run aborted at an
 //! arbitrary point — mid-labelling, at an epoch boundary, even mid-append —
-//! must resume from the last completed unit and finish **byte-identical** to
+//! must resume from the last completed task and finish **byte-identical** to
 //! an uninterrupted run. Crashes are simulated with deterministic injected
 //! IO faults (and raw journal truncation for the torn-write case).
 //!
@@ -50,11 +50,12 @@ fn killed_mid_labelling_resumes_byte_identical() {
     let (ref_sys, ref_report) = reference("label_kill");
     let dir = run_dir("label_kill");
 
-    // Crash after 5 successful label appends (seq 0 = fingerprint, 1 =
-    // encoder, labels start at 2): the 12-unit labelling phase dies midway.
+    // Crash on the second task's append (seq 0 = fingerprint, 1 = encoder,
+    // one record per task from 2): task 0's labels are journaled, task 1's
+    // sidecar is written but never recorded, so the resume relabels it.
     {
         let _scope =
-            fault::FaultScope::activate(fault::FaultPlan::new().io_error("journal.append", 7));
+            fault::FaultScope::activate(fault::FaultPlan::new().io_error("journal.append", 3));
         let mut sys = AutoCts::new(AutoCtsConfig::test());
         let err = sys.pretrain_journaled(source_tasks(), &pre_cfg(), &dir).unwrap_err();
         assert!(matches!(err, CoreError::Io { op: "append", .. }), "{err}");
@@ -81,13 +82,13 @@ fn killed_mid_labelling_resumes_byte_identical() {
 fn killed_at_epoch_boundary_resumes_byte_identical() {
     let (ref_sys, ref_report) = reference("epoch_kill");
     let dir = run_dir("epoch_kill");
-    let n_labels = 2 * (3 + 3) as u64;
+    let n_tasks = source_tasks().len() as u64;
 
     // Crash on the *second* epoch record append: epoch 1 is journaled with
     // its sidecar, epoch 2's sidecar exists but its record never lands.
     {
         let _scope = fault::FaultScope::activate(
-            fault::FaultPlan::new().io_error("journal.append", 2 + n_labels + 1),
+            fault::FaultPlan::new().io_error("journal.append", 2 + n_tasks + 1),
         );
         let mut sys = AutoCts::new(AutoCtsConfig::test());
         let err = sys.pretrain_journaled(source_tasks(), &pre_cfg(), &dir).unwrap_err();
@@ -109,10 +110,10 @@ fn torn_journal_tail_resumes_byte_identical() {
     let dir = run_dir("torn");
 
     // Abort mid-labelling, then mangle the journal the way a power cut does:
-    // chop the last line short. The torn record's unit is simply relabelled.
+    // chop the last line short. The torn record's task is simply relabelled.
     {
         let _scope =
-            fault::FaultScope::activate(fault::FaultPlan::new().io_error("journal.append", 9));
+            fault::FaultScope::activate(fault::FaultPlan::new().io_error("journal.append", 3));
         let mut sys = AutoCts::new(AutoCtsConfig::test());
         sys.pretrain_journaled(source_tasks(), &pre_cfg(), &dir).unwrap_err();
     }
@@ -153,5 +154,24 @@ fn changed_configuration_is_refused() {
     let err = sys.pretrain_journaled(source_tasks(), &other, &dir).unwrap_err();
     assert!(matches!(err, CoreError::Mismatch { .. }), "{err}");
     assert!(err.to_string().contains("fingerprint"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn changed_task_list_is_refused() {
+    // The journal's label sidecars belong to the tasks that produced them:
+    // resuming with one task swapped must not replay them against the new
+    // task's embedding.
+    let dir = run_dir("tasks_mismatch");
+    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
+    AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
+
+    let mut tasks = source_tasks();
+    let p = DatasetProfile::custom("r-solar", Domain::Solar, 3, 200, 24, 0.3, 0.1, 10.0, 203);
+    tasks[1] = ForecastTask::new(p.generate(0), ForecastSetting::multi(4, 2), 0.6, 0.2, 2);
+    let mut sys = AutoCts::new(AutoCtsConfig::test());
+    let err = sys.pretrain_journaled(tasks, &pre_cfg(), &dir).unwrap_err();
+    assert!(matches!(err, CoreError::Mismatch { .. }), "{err}");
+    assert!(!sys.is_pretrained());
     std::fs::remove_dir_all(&dir).ok();
 }
