@@ -66,7 +66,7 @@ fn bench_tournament_rounds(c: &mut Criterion) {
             0,
         );
         group.bench_with_input(BenchmarkId::from_parameter(rounds), &rounds, |bench, _| {
-            bench.iter(|| black_box(tournament_rank(&tahc, None, &candidates, rounds, 9)));
+            bench.iter(|| black_box(tournament_rank(&tahc, None, &candidates, rounds, 9).order));
         });
     }
     group.finish();

@@ -27,7 +27,7 @@ fn bench_round_robin(c: &mut Criterion) {
         let candidates = JointSpace::scaled().sample_distinct(k, &mut rng);
         let tahc = comparator();
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |bench, _| {
-            bench.iter(|| black_box(round_robin_rank(&tahc, None, &candidates)));
+            bench.iter(|| black_box(round_robin_rank(&tahc, None, &candidates).order));
         });
     }
     group.finish();
@@ -41,7 +41,7 @@ fn bench_tournament(c: &mut Criterion) {
         let candidates = JointSpace::scaled().sample_distinct(k, &mut rng);
         let tahc = comparator();
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |bench, _| {
-            bench.iter(|| black_box(tournament_rank(&tahc, None, &candidates, 2, 7)));
+            bench.iter(|| black_box(tournament_rank(&tahc, None, &candidates, 2, 7).order));
         });
     }
     group.finish();
@@ -65,7 +65,7 @@ fn bench_thread_sweep(c: &mut Criterion) {
                 bench.iter(|| {
                     // fresh cache each iteration: measure the embed-once cost too
                     tahc.invalidate_caches();
-                    black_box(tournament_rank(&tahc, None, &candidates, 2, 7))
+                    black_box(tournament_rank(&tahc, None, &candidates, 2, 7).order)
                 });
             });
         }

@@ -91,7 +91,7 @@ fn main() {
             HyperSpace::scaled(),
             trial,
         );
-        let rr = round_robin_rank(&tahc, None, &pool);
+        let rr = round_robin_rank(&tahc, None, &pool).order;
         let rr_top: std::collections::HashSet<u64> =
             rr.iter().take(top_k).map(|&i| pool[i].fingerprint()).collect();
 

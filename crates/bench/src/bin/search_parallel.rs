@@ -100,7 +100,7 @@ fn main() {
         set_threads(threads);
         tahc.invalidate_caches();
         let t0 = Instant::now();
-        let order = tournament_rank(&tahc, None, &candidates, rounds, 7);
+        let order = tournament_rank(&tahc, None, &candidates, rounds, 7).order;
         let secs = t0.elapsed().as_secs_f64();
         let stats = tahc.embed_cache_stats();
         if threads == 1 {

@@ -14,18 +14,15 @@ use std::path::{Path, PathBuf};
 
 /// One journal entry. A flat struct (not an enum) because the vendored
 /// serde derive supports named-field structs only; `kind` discriminates and
-/// unused fields stay at their zero values.
+/// unused fields stay at their zero values. Replay reads fields by name and
+/// ignores unknown keys, so lines written with fields since dropped (the
+/// old `bits` and `quarantined`) still replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Record {
     /// `"fingerprint"`, `"encoder"`, `"shard"`, `"epoch"` or `"done"`.
     pub kind: String,
     /// Shard index (for `shard` records).
     pub unit: u64,
-    /// Raw `f32::to_bits` of the label score — bit-exact across the
-    /// write/replay cycle, which byte-identical resume depends on.
-    pub bits: u32,
-    /// Whether the labelled unit was quarantined.
-    pub quarantined: bool,
     /// Completed epoch number (for `epoch` records).
     pub epoch: u64,
     /// Free-form payload: config fingerprint or sidecar file name.
@@ -35,14 +32,7 @@ pub struct Record {
 impl Record {
     /// A record with every field zeroed except `kind`.
     pub fn of_kind(kind: &str) -> Self {
-        Self {
-            kind: kind.to_string(),
-            unit: 0,
-            bits: 0,
-            quarantined: false,
-            epoch: 0,
-            detail: String::new(),
-        }
+        Self { kind: kind.to_string(), unit: 0, epoch: 0, detail: String::new() }
     }
 }
 
@@ -167,15 +157,8 @@ mod tests {
         std::env::temp_dir().join(format!("octs_journal_{name}_{}", std::process::id()))
     }
 
-    fn label(unit: u64, score: f32) -> Record {
-        Record {
-            kind: "label".into(),
-            unit,
-            bits: score.to_bits(),
-            quarantined: false,
-            epoch: 0,
-            detail: String::new(),
-        }
+    fn shard(unit: u64) -> Record {
+        Record { unit, detail: format!("shard_labels_{unit:05}.ckpt"), ..Record::of_kind("shard") }
     }
 
     #[test]
@@ -186,13 +169,11 @@ mod tests {
         {
             let (mut j, recs) = Journal::open(&p).unwrap();
             assert!(recs.is_empty());
-            j.append(&label(0, 1.5)).unwrap();
-            j.append(&label(1, f32::INFINITY)).unwrap();
+            j.append(&shard(0)).unwrap();
+            j.append(&shard(1)).unwrap();
         }
         let (j, recs) = Journal::open(&p).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(f32::from_bits(recs[0].bits), 1.5);
-        assert!(f32::from_bits(recs[1].bits).is_infinite());
+        assert_eq!(recs, vec![shard(0), shard(1)]);
         assert_eq!(j.seq(), 2);
         std::fs::remove_file(&p).ok();
     }
@@ -204,8 +185,8 @@ mod tests {
         std::fs::remove_file(&p).ok();
         {
             let (mut j, _) = Journal::open(&p).unwrap();
-            j.append(&label(0, 1.0)).unwrap();
-            j.append(&label(1, 2.0)).unwrap();
+            j.append(&shard(0)).unwrap();
+            j.append(&shard(1)).unwrap();
         }
         // simulate a crash mid-append: cut the last line short
         let text = std::fs::read_to_string(&p).unwrap();
@@ -214,7 +195,7 @@ mod tests {
         assert_eq!(recs.len(), 1, "torn tail must be dropped");
         assert_eq!(recs[0].unit, 0);
         // the truncated journal accepts fresh appends cleanly
-        j.append(&label(1, 2.0)).unwrap();
+        j.append(&shard(1)).unwrap();
         drop(j);
         let (_, recs) = Journal::open(&p).unwrap();
         assert_eq!(recs.len(), 2);
@@ -228,11 +209,11 @@ mod tests {
         std::fs::remove_file(&p).ok();
         {
             let (mut j, _) = Journal::open(&p).unwrap();
-            j.append(&label(0, 1.0)).unwrap();
-            j.append(&label(1, 2.0)).unwrap();
+            j.append(&shard(0)).unwrap();
+            j.append(&shard(1)).unwrap();
         }
         let text = std::fs::read_to_string(&p).unwrap();
-        let flipped = text.replacen("label", "labex", 1);
+        let flipped = text.replacen("shard", "sharx", 1);
         std::fs::write(&p, flipped).unwrap();
         assert!(matches!(Journal::open(&p), Err(CoreError::Corrupt { .. })));
         std::fs::remove_file(&p).ok();
@@ -246,10 +227,10 @@ mod tests {
             octs_fault::FaultPlan::new().io_error("journal.append", 1),
         );
         let (mut j, _) = Journal::open(&p).unwrap();
-        j.append(&label(0, 1.0)).unwrap();
-        assert!(matches!(j.append(&label(1, 2.0)), Err(CoreError::Io { op: "append", .. })));
+        j.append(&shard(0)).unwrap();
+        assert!(matches!(j.append(&shard(1)), Err(CoreError::Io { op: "append", .. })));
         // one-shot: the retry (post-"crash" resume) succeeds
-        j.append(&label(1, 2.0)).unwrap();
+        j.append(&shard(1)).unwrap();
         std::fs::remove_file(&p).ok();
     }
 }

@@ -10,7 +10,8 @@
 //! - [`octs_space`]: the joint architecture-hyperparameter search space;
 //! - [`octs_model`]: the operator zoo, ST-blocks and forecaster training;
 //! - [`octs_comparator`]: the T-AHC comparator and its pre-training pipeline;
-//! - [`octs_search`]: zero-shot evolutionary search and baseline strategies;
+//! - [`octs_search`]: per-task AutoCTS+ search, its fidelity ladder, zero-shot
+//!   evolutionary search and baseline strategies;
 //! - [`octs_baselines`]: manually-designed forecasting baselines.
 //!
 //! ## Quickstart

@@ -9,15 +9,15 @@
 //! [`crate::zeroshot::zero_shot_search`]).
 
 use crate::error::SearchError;
-use crate::evolve::{evolve_search, EvolveConfig};
-use crate::fidelity::{train_finalists, train_pairwise_comparator};
-use octs_comparator::{label_one, LabeledAh, TahcConfig};
-use octs_data::{ForecastTask, Split};
+use crate::evolve::EvolveConfig;
+use crate::fidelity::promote_by_score;
+use crate::stages::{label_units, rank_and_train, validate};
+use octs_comparator::TahcConfig;
+use octs_data::ForecastTask;
 use octs_model::{TrainConfig, TrainReport};
 use octs_space::{ArchHyper, JointSpace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Configuration of the per-task AutoCTS+ search.
@@ -87,22 +87,6 @@ pub struct AutoCtsPlusOutcome {
     pub search_time: Duration,
 }
 
-fn validate(task: &ForecastTask, cfg: &AutoCtsPlusConfig) -> Result<(), SearchError> {
-    if cfg.num_labeled == 0 {
-        return Err(SearchError::ZeroBudget { what: "num_labeled" });
-    }
-    if cfg.evolve.k_s == 0 {
-        return Err(SearchError::ZeroBudget { what: "evolve.k_s" });
-    }
-    if cfg.evolve.top_k == 0 {
-        return Err(SearchError::ZeroBudget { what: "evolve.top_k" });
-    }
-    if task.windows(Split::Train).is_empty() {
-        return Err(SearchError::InsufficientWindows { task: task.id() });
-    }
-    Ok(())
-}
-
 /// Runs the AutoCTS+ pipeline on a single task, sampling `cfg.num_labeled`
 /// candidates from the joint space. Degenerate inputs (zero budgets, a
 /// windowless task, an all-quarantined pool) come back as typed
@@ -112,7 +96,6 @@ pub fn autocts_plus_search(
     space: &JointSpace,
     cfg: &AutoCtsPlusConfig,
 ) -> Result<AutoCtsPlusOutcome, SearchError> {
-    validate(task, cfg)?;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let candidates = space.sample_distinct(cfg.num_labeled, &mut rng);
     autocts_plus_search_with_pool(task, space, cfg, candidates)
@@ -134,19 +117,16 @@ pub fn autocts_plus_search_with_pool(
     cfg: &AutoCtsPlusConfig,
     pool: Vec<ArchHyper>,
 ) -> Result<AutoCtsPlusOutcome, SearchError> {
-    validate(task, cfg)?;
-    if pool.is_empty() {
-        return Err(SearchError::EmptyCandidatePool);
+    if cfg.num_labeled == 0 {
+        return Err(SearchError::ZeroBudget { what: "num_labeled" });
     }
+    validate(task, cfg, &pool)?;
 
-    // 1. Collect (ah, R'(ah)) samples on THIS task (Eq. 22), in parallel,
-    //    each candidate isolated: a panic or divergence quarantines that
-    //    candidate only.
+    // 1. Collect (ah, R'(ah)) samples on THIS task (Eq. 22); candidate `i`
+    //    of the pool is labelling unit `i`.
     let t0 = Instant::now();
     let obs_label = octs_obs::span_detail("phase.label", pool.len().to_string());
-    let idx: Vec<usize> = (0..pool.len()).collect();
-    let labeled: Vec<LabeledAh> =
-        idx.par_iter().map(|&i| label_one(&pool[i], task, i as u64, &cfg.label_cfg)).collect();
+    let labeled = label_units(task, &cfg.label_cfg, (0..).zip(&pool));
     let quarantined: Vec<ArchHyper> =
         labeled.iter().filter(|l| l.quarantined).map(|l| l.ah.clone()).collect();
     // Canonical ordering: every stage downstream consumes the healthy
@@ -154,52 +134,22 @@ pub fn autocts_plus_search_with_pool(
     // the pool's arrival order — so permuting the candidate pool leaves the
     // comparator's training pair stream, and therefore the winner,
     // byte-identical (the testkit property suite enforces this).
-    let mut healthy: Vec<&LabeledAh> = labeled.iter().filter(|l| !l.quarantined).collect();
-    healthy.sort_by_key(|l| (l.score.to_bits(), l.ah.fingerprint()));
+    let healthy = promote_by_score(&labeled.iter().collect::<Vec<_>>(), usize::MAX);
     octs_obs::counter("search.pool", pool.len() as u64);
     octs_obs::counter("search.quarantined", quarantined.len() as u64);
     drop(obs_label);
-    if healthy.is_empty() {
-        return Err(SearchError::AllCandidatesQuarantined);
-    }
     let label_time = t0.elapsed();
 
-    // 2. Train the plain AHC with dynamic pairing: a(a-1) ordered pairs from
-    //    the `a` healthy labelled samples, shuffled fresh each epoch. The
-    //    shuffle RNG is its own salted stream, so its draws do not depend on
-    //    how many candidates the sampling stage consumed. (Shared with the
-    //    fidelity ladder, which passes several fidelity groups; a single
-    //    group reproduces the historical pair stream byte-for-byte.)
-    let t1 = Instant::now();
-    let obs_pretrain = octs_obs::span_detail("phase.pretrain", cfg.comparator_epochs.to_string());
-    let comparator = train_pairwise_comparator(
-        space,
-        &cfg.comparator,
-        cfg.comparator_epochs,
-        cfg.seed,
-        0xC3A7,
-        &[&healthy],
-    );
-    drop(obs_pretrain);
-    let comparator_time = t1.elapsed();
-
-    // 3. Rank the joint space with the trained comparator and train top-K.
-    let t2 = Instant::now();
-    let obs_rank = octs_obs::span_detail("phase.rank", cfg.evolve.k_s.to_string());
-    let top = evolve_search(&comparator, None, space, &cfg.evolve);
-    drop(obs_rank);
-    let obs_final = octs_obs::span_detail("phase.final_train", top.len().to_string());
-    let best = train_finalists(task, &cfg.final_cfg, cfg.seed, top);
-    drop(obs_final);
-    let search_time = t2.elapsed();
-    let (best, best_report) = best.expect("top_k >= 1");
+    // 2. Train the plain AHC on the healthy labels (one fidelity group),
+    //    rank the joint space with it and train the top-K.
+    let tail = rank_and_train(task, space, cfg, 0xC3A7, &[&healthy])?;
     Ok(AutoCtsPlusOutcome {
-        best,
-        best_report,
+        best: tail.best,
+        best_report: tail.best_report,
         quarantined,
         label_time,
-        comparator_time,
-        search_time,
+        comparator_time: tail.comparator_time,
+        search_time: tail.search_time,
     })
 }
 

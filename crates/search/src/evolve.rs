@@ -1,6 +1,6 @@
 //! Comparator-guided evolutionary search over the joint space (Section 3.3).
 
-use crate::rank::{round_robin_rank_checked, tournament_rank_checked, RankOutcome};
+use crate::rank::{round_robin_rank, tournament_rank, RankOutcome};
 use octs_comparator::Tahc;
 use octs_space::{ArchHyper, JointSpace};
 use octs_tensor::Tensor;
@@ -91,7 +91,7 @@ pub fn evolve_search(
 
     // Seed population from a cheap tournament ranking.
     let seeding =
-        tournament_rank_checked(tahc, prelim, &candidates, cfg.tournament_rounds, cfg.seed ^ 0x70);
+        tournament_rank(tahc, prelim, &candidates, cfg.tournament_rounds, cfg.seed ^ 0x70);
     tally(&seeding);
     let mut population: Vec<ArchHyper> =
         seeding.order.iter().take(cfg.k_p).map(|&i| candidates[i].clone()).collect();
@@ -112,12 +112,12 @@ pub fn evolve_search(
         }
         population.extend(offspring);
         // Survival: Round-Robin over the (small) population, keep k_p.
-        let survival = round_robin_rank_checked(tahc, prelim, &population);
+        let survival = round_robin_rank(tahc, prelim, &population);
         tally(&survival);
         population = survival.order.iter().take(cfg.k_p).map(|&i| population[i].clone()).collect();
     }
 
-    let final_rank = round_robin_rank_checked(tahc, prelim, &population);
+    let final_rank = round_robin_rank(tahc, prelim, &population);
     tally(&final_rank);
     if quarantined_total > 0 {
         octs_obs::counter("evolve.quarantined", quarantined_total as u64);

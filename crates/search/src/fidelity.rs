@@ -32,16 +32,14 @@
 
 use crate::autocts_plus::AutoCtsPlusConfig;
 use crate::error::SearchError;
-use crate::evolve::evolve_search;
-use crate::rank::tournament_rank_checked;
-use octs_comparator::{label_one, LabeledAh, Tahc, TahcConfig};
-use octs_data::{ForecastTask, Split};
-use octs_model::{train_forecaster, Forecaster, ModelDims, TrainConfig, TrainReport};
+use crate::rank::tournament_rank;
+use crate::stages::{label_units, rank_and_train, validate};
+use octs_comparator::{LabeledAh, Tahc, TahcConfig};
+use octs_data::ForecastTask;
+use octs_model::{TrainConfig, TrainReport};
 use octs_space::{ArchHyper, JointSpace};
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -162,74 +160,6 @@ pub fn promote_by_score<'a>(labeled: &[&'a LabeledAh], quota: usize) -> Vec<&'a 
     healthy
 }
 
-/// Trains a fresh non-task-aware comparator over dynamically-paired labelled
-/// groups: all ordered pairs with a meaningful score gap are formed *within*
-/// each group (scores collected at different fidelities are not comparable
-/// across groups), shuffled fresh each epoch on a salted RNG stream.
-///
-/// With a single group and salt `0xC3A7` this reproduces the plain
-/// AutoCTS+ comparator training byte-for-byte — the plain pipeline calls it
-/// with exactly those arguments.
-pub(crate) fn train_pairwise_comparator(
-    space: &JointSpace,
-    comparator_cfg: &TahcConfig,
-    epochs: usize,
-    seed: u64,
-    pair_salt: u64,
-    groups: &[&[&LabeledAh]],
-) -> Tahc {
-    let mut pair_rng = ChaCha8Rng::seed_from_u64(seed ^ pair_salt);
-    let mut comparator =
-        Tahc::new(TahcConfig { task_aware: false, ..*comparator_cfg }, space.hyper.clone(), seed);
-    let mut opt = octs_tensor::Adam::new(1e-3, 5e-4);
-    let mut pairs: Vec<(&LabeledAh, &LabeledAh)> = groups
-        .iter()
-        .flat_map(|group| {
-            (0..group.len()).flat_map(move |i| (0..group.len()).map(move |j| (group[i], group[j])))
-        })
-        .filter(|(a, b)| !std::ptr::eq(*a, *b) && (a.score - b.score).abs() > 1e-9)
-        .collect();
-    for _epoch in 0..epochs {
-        pairs.shuffle(&mut pair_rng);
-        for chunk in pairs.chunks(16) {
-            let batch: Vec<_> = chunk
-                .iter()
-                .map(|&(a, b)| {
-                    let y = if a.score < b.score { 1.0 } else { 0.0 };
-                    (None, &a.ah, &b.ah, y)
-                })
-                .collect();
-            comparator.train_batch(&mut opt, &batch);
-        }
-    }
-    comparator
-}
-
-/// Trains the ranked finalists and keeps the validation winner. Identical to
-/// the plain pipeline's final stage: finalist `i` trains with seed
-/// `seed ^ (i + 1)`, and strict `<` keeps the earliest of tied candidates.
-pub(crate) fn train_finalists(
-    task: &ForecastTask,
-    final_cfg: &TrainConfig,
-    seed: u64,
-    top: Vec<ArchHyper>,
-) -> Option<(ArchHyper, TrainReport)> {
-    let dims = ModelDims::new(task.data.n(), task.data.f(), task.setting);
-    let mut best: Option<(ArchHyper, TrainReport)> = None;
-    for (i, ah) in top.into_iter().enumerate() {
-        let mut fc = Forecaster::new(ah.clone(), dims, &task.data.adjacency, seed ^ (i as u64 + 1));
-        let report = train_forecaster(&mut fc, task, final_cfg);
-        let better = match &best {
-            Some((_, b)) => report.best_val_mae < b.best_val_mae,
-            None => true,
-        };
-        if better {
-            best = Some((ah, report));
-        }
-    }
-    best
-}
-
 /// Unit-id offset of stage-2 (full-fidelity) labelling, so fault plans can
 /// target a candidate's cheap and full trainings independently: stage 1
 /// labels candidate `i` (canonical pool position) as unit `i`, stage 2 as
@@ -263,18 +193,7 @@ pub fn fidelity_ladder_search_with_pool(
     screener: Option<(&Tahc, Option<&octs_tensor::Tensor>)>,
 ) -> Result<LadderOutcome, SearchError> {
     ladder.validate()?;
-    if cfg.evolve.k_s == 0 {
-        return Err(SearchError::ZeroBudget { what: "evolve.k_s" });
-    }
-    if cfg.evolve.top_k == 0 {
-        return Err(SearchError::ZeroBudget { what: "evolve.top_k" });
-    }
-    if task.windows(Split::Train).is_empty() {
-        return Err(SearchError::InsufficientWindows { task: task.id() });
-    }
-    if pool.is_empty() {
-        return Err(SearchError::EmptyCandidatePool);
-    }
+    validate(task, cfg, &pool)?;
     // Canonical pool order: every per-candidate RNG stream and labelling
     // unit id attaches to the candidate's position in this fingerprint-sorted
     // order, so permuting the input pool changes nothing downstream.
@@ -302,13 +221,8 @@ pub fn fidelity_ladder_search_with_pool(
             (&fresh_screener, None)
         }
     };
-    let screen = tournament_rank_checked(
-        screen_tahc,
-        prelim,
-        &pool,
-        ladder.screen_rounds,
-        cfg.seed ^ 0x5C12,
-    );
+    let screen =
+        tournament_rank(screen_tahc, prelim, &pool, ladder.screen_rounds, cfg.seed ^ 0x5C12);
     let healthy_screened = pool.len() - screen.quarantined.len();
     let stage1_idx: Vec<usize> =
         screen.order.iter().copied().take(ladder.stage1.min(healthy_screened)).collect();
@@ -331,8 +245,8 @@ pub fn fidelity_ladder_search_with_pool(
     let t = Instant::now();
     let obs_proxy = octs_obs::span_detail("phase.proxy", stage1_idx.len().to_string());
     let proxy_cfg = TrainConfig { epochs: ladder.proxy_epochs, ..cfg.label_cfg.clone() };
-    let proxy_labeled: Vec<LabeledAh> =
-        stage1_idx.par_iter().map(|&i| label_one(&pool[i], task, i as u64, &proxy_cfg)).collect();
+    let proxy_labeled =
+        label_units(task, &proxy_cfg, stage1_idx.iter().map(|&i| (i as u64, &pool[i])));
     quarantined.extend(proxy_labeled.iter().filter(|l| l.quarantined).map(|l| l.ah.clone()));
     let proxy_refs: Vec<&LabeledAh> = proxy_labeled.iter().collect();
     let stage2_promoted = promote_by_score(&proxy_refs, ladder.stage2);
@@ -355,26 +269,21 @@ pub fn fidelity_ladder_search_with_pool(
     let t = Instant::now();
     let obs_full = octs_obs::span_detail("phase.full_label", stage2_promoted.len().to_string());
     // Stable unit ids: recover each finalist's canonical pool position.
-    let stage2_units: Vec<(usize, &ArchHyper)> = stage2_promoted
-        .iter()
-        .map(|l| {
+    let full_labeled = label_units(
+        task,
+        &cfg.label_cfg,
+        stage2_promoted.iter().map(|l| {
             let fp = l.ah.fingerprint();
             let pos = pool
                 .iter()
                 .position(|ah| ah.fingerprint() == fp)
                 .expect("finalist came from the pool");
-            (pos, &l.ah)
-        })
-        .collect();
-    let full_labeled: Vec<LabeledAh> = stage2_units
-        .par_iter()
-        .map(|&(i, ah)| label_one(ah, task, FULL_FIDELITY_UNIT_BASE + i as u64, &cfg.label_cfg))
-        .collect();
+            (FULL_FIDELITY_UNIT_BASE + pos as u64, &l.ah)
+        }),
+    );
     quarantined.extend(full_labeled.iter().filter(|l| l.quarantined).map(|l| l.ah.clone()));
     let full_quarantined = full_labeled.iter().filter(|l| l.quarantined).count();
-    let mut full_healthy: Vec<&LabeledAh> =
-        full_labeled.iter().filter(|l| !l.quarantined).collect();
-    full_healthy.sort_by_key(|l| (l.score.to_bits(), l.ah.fingerprint()));
+    let full_healthy = promote_by_score(&full_labeled.iter().collect::<Vec<_>>(), usize::MAX);
     drop(obs_full);
     survivors.push(full_healthy.iter().map(|l| l.ah.fingerprint()).collect::<Vec<u64>>());
     stages.push(StageReport {
@@ -389,48 +298,25 @@ pub fn fidelity_ladder_search_with_pool(
     octs_obs::counter("ladder.label_epochs", label_epochs as u64);
     let label_time = label_t0.elapsed();
 
-    // --- comparator training on everything the ladder paid for -------------
+    // --- comparator, ranking and finalists on everything the ladder paid for
     // Group 0: full-fidelity finalist labels. Group 1: proxy labels of the
     // stage-1 survivors that were *not* promoted (their cheap signal is
     // still real ordering information). Pairs never cross groups.
     let promoted_fps: Vec<u64> = stage2_promoted.iter().map(|l| l.ah.fingerprint()).collect();
-    let mut proxy_rest: Vec<&LabeledAh> = proxy_labeled
-        .iter()
-        .filter(|l| !l.quarantined && !promoted_fps.contains(&l.ah.fingerprint()))
-        .collect();
-    proxy_rest.sort_by_key(|l| (l.score.to_bits(), l.ah.fingerprint()));
-    if full_healthy.is_empty() && proxy_rest.is_empty() {
-        return Err(SearchError::AllCandidatesQuarantined);
-    }
-    let t1 = Instant::now();
-    let obs_pretrain = octs_obs::span_detail("phase.pretrain", cfg.comparator_epochs.to_string());
-    let comparator = train_pairwise_comparator(
-        space,
-        &cfg.comparator,
-        cfg.comparator_epochs,
-        cfg.seed,
-        0xF1DE,
-        &[&full_healthy, &proxy_rest],
+    let proxy_rest = promote_by_score(
+        &proxy_refs
+            .into_iter()
+            .filter(|l| !promoted_fps.contains(&l.ah.fingerprint()))
+            .collect::<Vec<_>>(),
+        usize::MAX,
     );
-    drop(obs_pretrain);
-    let comparator_time = t1.elapsed();
-
-    // --- rank the joint space and train the top-K --------------------------
-    let t2 = Instant::now();
-    let obs_rank = octs_obs::span_detail("phase.rank", cfg.evolve.k_s.to_string());
-    let top = evolve_search(&comparator, None, space, &cfg.evolve);
-    drop(obs_rank);
-    let obs_final = octs_obs::span_detail("phase.final_train", top.len().to_string());
-    let best = train_finalists(task, &cfg.final_cfg, cfg.seed, top);
-    drop(obs_final);
-    let search_time = t2.elapsed();
-    let (best, best_report) = best.expect("top_k >= 1");
+    let tail = rank_and_train(task, space, cfg, 0xF1DE, &[&full_healthy, &proxy_rest])?;
 
     let proxy_labeled = proxy_labeled.into_iter().filter(|l| !l.quarantined).collect();
     let full_labeled = full_labeled.into_iter().filter(|l| !l.quarantined).collect();
     Ok(LadderOutcome {
-        best,
-        best_report,
+        best: tail.best,
+        best_report: tail.best_report,
         stages,
         survivors,
         quarantined,
@@ -438,8 +324,8 @@ pub fn fidelity_ladder_search_with_pool(
         full_labeled,
         label_epochs,
         label_time,
-        comparator_time,
-        search_time,
+        comparator_time: tail.comparator_time,
+        search_time: tail.search_time,
     })
 }
 

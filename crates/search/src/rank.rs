@@ -158,13 +158,14 @@ fn assemble_outcome(
     RankOutcome { order, quarantined }
 }
 
-/// Quarantine-aware full Round-Robin: probes every candidate, then plays
-/// every healthy-vs-healthy match in parallel. The healthy candidates'
-/// relative order is byte-identical to a round-robin over the healthy
-/// subpool alone (the schedule restricted to healthy pairs is the same set
-/// of matches), so quarantining candidates outside the top-K leaves the
-/// top-K unchanged.
-pub fn round_robin_rank_checked(
+/// Full Round-Robin: each candidate plays every other, `O(K²)` comparisons
+/// judged in parallel; `order` ranks candidates by descending win count
+/// (stable on ties). Every candidate is probed first and panicking ones are
+/// quarantined to the tail. The healthy candidates' relative order is
+/// byte-identical to a round-robin over the healthy subpool alone (the
+/// schedule restricted to healthy pairs is the same set of matches), so
+/// quarantining candidates outside the top-K leaves the top-K unchanged.
+pub fn round_robin_rank(
     tahc: &Tahc,
     prelim: Option<&Tensor>,
     candidates: &[ArchHyper],
@@ -184,41 +185,17 @@ pub fn round_robin_rank_checked(
     assemble_outcome(&healthy, &matches, &outcomes)
 }
 
-/// Full Round-Robin: each candidate plays every other; returns indices
-/// ordered by descending win count (stable on ties). `O(K²)` comparisons,
-/// judged in parallel. Panicking candidates are quarantined to the tail; see
-/// [`round_robin_rank_checked`] to observe which.
-pub fn round_robin_rank(
-    tahc: &Tahc,
-    prelim: Option<&Tensor>,
-    candidates: &[ArchHyper],
-) -> Vec<usize> {
-    round_robin_rank_checked(tahc, prelim, candidates).order
-}
-
 /// Sparse tournament: each candidate plays `rounds` random opponents; cheap
 /// pre-ranking used to seed the evolutionary population when the candidate
 /// pool is large (the paper's `K_s` reaches 300 000).
 ///
 /// Each candidate's opponents are drawn from its own ChaCha8 stream derived
 /// from `seed`, so the schedule — and therefore the ranking — is independent
-/// of how the matches are later chunked across threads.
+/// of how the matches are later chunked across threads. The schedule is
+/// drawn *before* health filtering, so quarantining a panicking candidate
+/// cannot shift any other candidate's schedule; matches touching an
+/// unhealthy candidate are simply dropped.
 pub fn tournament_rank(
-    tahc: &Tahc,
-    prelim: Option<&Tensor>,
-    candidates: &[ArchHyper],
-    rounds: usize,
-    seed: u64,
-) -> Vec<usize> {
-    tournament_rank_checked(tahc, prelim, candidates, rounds, seed).order
-}
-
-/// Quarantine-aware sparse tournament (see [`tournament_rank`]). Each
-/// candidate's opponent schedule is still drawn from its private RNG stream
-/// *before* health filtering, so a quarantine cannot shift any other
-/// candidate's schedule; matches touching an unhealthy candidate are simply
-/// dropped.
-pub fn tournament_rank_checked(
     tahc: &Tahc,
     prelim: Option<&Tensor>,
     candidates: &[ArchHyper],
@@ -283,7 +260,7 @@ mod tests {
     #[test]
     fn round_robin_is_a_permutation() {
         let (tahc, ahs) = untrained_fixture(6);
-        let order = round_robin_rank(&tahc, None, &ahs);
+        let order = round_robin_rank(&tahc, None, &ahs).order;
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..6).collect::<Vec<_>>());
@@ -292,7 +269,7 @@ mod tests {
     #[test]
     fn tournament_is_a_permutation_and_cheaper() {
         let (tahc, ahs) = untrained_fixture(10);
-        let order = tournament_rank(&tahc, None, &ahs, 2, 7);
+        let order = tournament_rank(&tahc, None, &ahs, 2, 7).order;
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..10).collect::<Vec<_>>());
@@ -302,11 +279,11 @@ mod tests {
     #[test]
     fn deterministic_rankings() {
         let (tahc, ahs) = untrained_fixture(5);
-        let a = round_robin_rank(&tahc, None, &ahs);
-        let b = round_robin_rank(&tahc, None, &ahs);
+        let a = round_robin_rank(&tahc, None, &ahs).order;
+        let b = round_robin_rank(&tahc, None, &ahs).order;
         assert_eq!(a, b);
-        let t1 = tournament_rank(&tahc, None, &ahs, 2, 9);
-        let t2 = tournament_rank(&tahc, None, &ahs, 2, 9);
+        let t1 = tournament_rank(&tahc, None, &ahs, 2, 9).order;
+        let t2 = tournament_rank(&tahc, None, &ahs, 2, 9).order;
         assert_eq!(t1, t2);
     }
 
@@ -315,10 +292,10 @@ mod tests {
         // The opponent schedule is a pure function of (seed, candidate), so
         // rankings cannot depend on RAYON_NUM_THREADS.
         let (tahc, ahs) = untrained_fixture(9);
-        let baseline = tournament_rank(&tahc, None, &ahs, 3, 11);
+        let baseline = tournament_rank(&tahc, None, &ahs, 3, 11).order;
         for _ in 0..3 {
             tahc.invalidate_caches();
-            assert_eq!(tournament_rank(&tahc, None, &ahs, 3, 11), baseline);
+            assert_eq!(tournament_rank(&tahc, None, &ahs, 3, 11).order, baseline);
         }
     }
 
@@ -326,7 +303,7 @@ mod tests {
     fn tournament_rounds_capped_by_pool_size() {
         // rounds > k-1 must not loop forever looking for distinct opponents.
         let (tahc, ahs) = untrained_fixture(3);
-        let order = tournament_rank(&tahc, None, &ahs, 10, 5);
+        let order = tournament_rank(&tahc, None, &ahs, 10, 5).order;
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
@@ -352,12 +329,12 @@ mod tests {
         let (tahc, ahs) = untrained_fixture(RANK_CHUNK + 9);
         let saved = std::env::var("RAYON_NUM_THREADS").ok();
         std::env::set_var("RAYON_NUM_THREADS", "1");
-        let serial = tournament_rank(&tahc, None, &ahs, 3, 13);
+        let serial = tournament_rank(&tahc, None, &ahs, 3, 13).order;
         for threads in ["2", "4", "8"] {
             std::env::set_var("RAYON_NUM_THREADS", threads);
             tahc.invalidate_caches();
             assert_eq!(
-                tournament_rank(&tahc, None, &ahs, 3, 13),
+                tournament_rank(&tahc, None, &ahs, 3, 13).order,
                 serial,
                 "chunked ranking diverged from serial at {threads} threads"
             );
@@ -401,14 +378,14 @@ mod tests {
         );
 
         // No recorder armed: the outcome still carries the quarantine.
-        let unarmed = round_robin_rank_checked(&tahc, None, &ahs);
+        let unarmed = round_robin_rank(&tahc, None, &ahs);
         assert_eq!(unarmed.quarantined, vec![victim], "quarantine lost without a recorder");
 
         // Recorder armed: same outcome, plus the observable mirror.
         tahc.invalidate_caches();
         let rec = octs_obs::Recorder::new();
         let scope = octs_obs::ObsScope::activate(&rec);
-        let armed = round_robin_rank_checked(&tahc, None, &ahs);
+        let armed = round_robin_rank(&tahc, None, &ahs);
         drop(scope);
         assert_eq!(armed.quarantined, unarmed.quarantined);
         let summary = rec.summary();
@@ -425,13 +402,13 @@ mod tests {
         let victim = 5usize;
         let baseline: Vec<ArchHyper> =
             ahs.iter().enumerate().filter(|(i, _)| *i != victim).map(|(_, a)| a.clone()).collect();
-        let want = round_robin_rank(&tahc, None, &baseline);
+        let want = round_robin_rank(&tahc, None, &baseline).order;
         tahc.invalidate_caches();
 
         let _scope = octs_fault::FaultScope::activate(
             octs_fault::FaultPlan::new().compare_panic(victim as u64),
         );
-        let out = round_robin_rank_checked(&tahc, None, &ahs);
+        let out = round_robin_rank(&tahc, None, &ahs);
         assert_eq!(out.quarantined, vec![victim]);
         assert_eq!(out.order.last(), Some(&victim));
         // map healthy-subpool indices back into full-pool indices

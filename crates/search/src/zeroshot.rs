@@ -4,11 +4,11 @@
 use crate::error::SearchError;
 use crate::evolve::{evolve_search, EvolveConfig};
 use crate::fidelity::promote_by_score;
-use octs_comparator::{label_one, LabeledAh, Tahc, TaskEmbedder};
+use crate::stages::{label_units, train_finalists};
+use octs_comparator::{Tahc, TaskEmbedder};
 use octs_data::ForecastTask;
-use octs_model::{train_forecaster, Forecaster, ModelDims, TrainConfig, TrainReport};
+use octs_model::{TrainConfig, TrainReport};
 use octs_space::{ArchHyper, JointSpace};
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Wall-clock breakdown of one zero-shot search (drives Fig. 7).
@@ -18,7 +18,9 @@ pub struct SearchTiming {
     pub embed: Duration,
     /// Comparator ranking time (tournament + evolution + round-robin).
     pub rank: Duration,
-    /// Final training time of the top-K candidates.
+    /// Final training time of the top-K candidates. In
+    /// [`zero_shot_search_laddered`] it also counts the proxy promotion
+    /// rung that picks which candidates get full training.
     pub train: Duration,
 }
 
@@ -56,46 +58,12 @@ pub fn zero_shot_search(
     evolve_cfg: &EvolveConfig,
     train_cfg: &TrainConfig,
 ) -> SearchOutcome {
-    let t0 = Instant::now();
-    let obs_embed = octs_obs::span_detail("phase.embed", task.id().to_string());
-    let prelim = embedder.preliminary(task);
-    drop(obs_embed);
-    let embed = t0.elapsed();
-
-    let t1 = Instant::now();
-    let obs_rank = octs_obs::span_detail("phase.rank", evolve_cfg.k_s.to_string());
-    let top = evolve_search(tahc, Some(&prelim), space, evolve_cfg);
-    drop(obs_rank);
-    let rank = t1.elapsed();
-
+    let ZeroShotRank { ranked, timing } = zero_shot_rank(tahc, embedder, task, space, evolve_cfg);
     let t2 = Instant::now();
-    let obs_final = octs_obs::span_detail("phase.final_train", top.len().to_string());
-    let dims = ModelDims::new(task.data.n(), task.data.f(), task.setting);
-    let mut finalists = Vec::with_capacity(top.len());
-    for (i, ah) in top.into_iter().enumerate() {
-        let mut fc = Forecaster::new(
-            ah.clone(),
-            dims,
-            &task.data.adjacency,
-            train_cfg.seed ^ (i as u64 + 1),
-        );
-        let report = train_forecaster(&mut fc, task, train_cfg);
-        finalists.push((ah, report));
-    }
-    drop(obs_final);
-    let train = t2.elapsed();
-
-    let best_idx = finalists
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            a.1.best_val_mae.partial_cmp(&b.1.best_val_mae).expect("finite MAEs")
-        })
-        .map(|(i, _)| i)
-        .expect("top_k >= 1");
-    let (best, best_report) = finalists[best_idx].clone();
-
-    SearchOutcome { best, best_report, finalists, timing: SearchTiming { embed, rank, train } }
+    let (finalists, best) = train_finalists(task, train_cfg, train_cfg.seed, ranked);
+    let timing = SearchTiming { train: t2.elapsed(), ..timing };
+    let (best, best_report) = finalists[best].clone();
+    SearchOutcome { best, best_report, finalists, timing }
 }
 
 /// Outcome of a rank-only zero-shot pass ([`zero_shot_rank`]): the
@@ -181,60 +149,27 @@ pub fn zero_shot_search_laddered(
     if promotion.proxy_epochs == 0 {
         return Err(SearchError::ZeroBudget { what: "promotion.proxy_epochs" });
     }
-    let t0 = Instant::now();
-    let obs_embed = octs_obs::span_detail("phase.embed", task.id().to_string());
-    let prelim = embedder.preliminary(task);
-    drop(obs_embed);
-    let embed = t0.elapsed();
-
-    let t1 = Instant::now();
-    let obs_rank = octs_obs::span_detail("phase.rank", evolve_cfg.k_s.to_string());
-    let top = evolve_search(tahc, Some(&prelim), space, evolve_cfg);
-    drop(obs_rank);
-    let rank = t1.elapsed();
-
+    let ZeroShotRank { ranked, timing } = zero_shot_rank(tahc, embedder, task, space, evolve_cfg);
     let t2 = Instant::now();
     // Promotion rung: cheap proxies for every ranked candidate, full budget
     // only for the promoted survivors. Unit ids follow ranking order (the
     // ranked list is already deterministic for any thread count).
-    let obs_proxy = octs_obs::span_detail("phase.proxy", top.len().to_string());
+    let obs_proxy = octs_obs::span_detail("phase.proxy", ranked.len().to_string());
     let proxy_cfg = TrainConfig { epochs: promotion.proxy_epochs, ..train_cfg.clone() };
-    let idx: Vec<usize> = (0..top.len()).collect();
-    let proxied: Vec<LabeledAh> =
-        idx.par_iter().map(|&i| label_one(&top[i], task, i as u64, &proxy_cfg)).collect();
-    let proxy_refs: Vec<&LabeledAh> = proxied.iter().collect();
-    let promoted = promote_by_score(&proxy_refs, promotion.finalists);
+    let proxied = label_units(task, &proxy_cfg, (0..).zip(&ranked));
+    let promoted: Vec<ArchHyper> =
+        promote_by_score(&proxied.iter().collect::<Vec<_>>(), promotion.finalists)
+            .into_iter()
+            .map(|l| l.ah.clone())
+            .collect();
     drop(obs_proxy);
     if promoted.is_empty() {
         return Err(SearchError::AllCandidatesQuarantined);
     }
-
-    let obs_final = octs_obs::span_detail("phase.final_train", promoted.len().to_string());
-    let dims = ModelDims::new(task.data.n(), task.data.f(), task.setting);
-    let mut finalists = Vec::with_capacity(promoted.len());
-    for (i, labeled) in promoted.into_iter().enumerate() {
-        let mut fc = Forecaster::new(
-            labeled.ah.clone(),
-            dims,
-            &task.data.adjacency,
-            train_cfg.seed ^ (i as u64 + 1),
-        );
-        let report = train_forecaster(&mut fc, task, train_cfg);
-        finalists.push((labeled.ah.clone(), report));
-    }
-    drop(obs_final);
-    let train = t2.elapsed();
-
-    let best_idx = finalists
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            a.1.best_val_mae.partial_cmp(&b.1.best_val_mae).expect("finite MAEs")
-        })
-        .map(|(i, _)| i)
-        .expect("finalists >= 1");
-    let (best, best_report) = finalists[best_idx].clone();
-    Ok(SearchOutcome { best, best_report, finalists, timing: SearchTiming { embed, rank, train } })
+    let (finalists, best) = train_finalists(task, train_cfg, train_cfg.seed, promoted);
+    let timing = SearchTiming { train: t2.elapsed(), ..timing };
+    let (best, best_report) = finalists[best].clone();
+    Ok(SearchOutcome { best, best_report, finalists, timing })
 }
 
 #[cfg(test)]

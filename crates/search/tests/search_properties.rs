@@ -20,7 +20,7 @@ fn round_robin_top1_beats_majority() {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
     let pool = JointSpace::scaled().sample_distinct(7, &mut rng);
     let tahc = comparator(0);
-    let order = round_robin_rank(&tahc, None, &pool);
+    let order = round_robin_rank(&tahc, None, &pool).order;
     let wins = |idx: usize, tahc: &Tahc| -> usize {
         (0..pool.len())
             .filter(|&j| j != idx)
@@ -118,8 +118,8 @@ fn tournament_and_round_robin_agree_under_consistent_comparator() {
     for t in 0..trials {
         let mut rng = ChaCha8Rng::seed_from_u64(80 + t);
         let pool = space.sample_distinct(10, &mut rng);
-        let full = round_robin_rank(&tahc, None, &pool);
-        let sparse = tournament_rank(&tahc, None, &pool, 3, t);
+        let full = round_robin_rank(&tahc, None, &pool).order;
+        let sparse = tournament_rank(&tahc, None, &pool, 3, t).order;
         let pos = full.iter().position(|&i| i == sparse[0]).unwrap();
         if pos < pool.len() / 2 {
             hits += 1;

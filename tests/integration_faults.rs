@@ -128,7 +128,7 @@ fn comparator_ranking_survives_compare_panics() {
     // comparator embedding panics is quarantined to the tail while the
     // healthy candidates keep the exact order of a healthy-subpool ranking.
     use autocts::comparator::{Tahc, TahcConfig};
-    use autocts::search::{round_robin_rank_checked, tournament_rank_checked};
+    use autocts::search::{round_robin_rank, tournament_rank};
 
     let space = JointSpace::scaled();
     let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -141,18 +141,18 @@ fn comparator_ranking_survives_compare_panics() {
         pool.iter().enumerate().filter(|(i, _)| *i != victim).map(|(_, a)| a.clone()).collect();
     let want = {
         let _quiet = FaultScope::activate(FaultPlan::new());
-        round_robin_rank_checked(&tahc, None, &healthy_pool).order
+        round_robin_rank(&tahc, None, &healthy_pool).order
     };
     tahc.invalidate_caches();
 
     let _scope = FaultScope::activate(FaultPlan::new().compare_panic(victim as u64));
-    let rr = round_robin_rank_checked(&tahc, None, &pool);
+    let rr = round_robin_rank(&tahc, None, &pool);
     assert_eq!(rr.quarantined, vec![victim]);
     let remap: Vec<usize> = want.iter().map(|&i| if i >= victim { i + 1 } else { i }).collect();
     assert_eq!(&rr.order[..pool.len() - 1], &remap[..]);
 
     tahc.invalidate_caches();
-    let t = tournament_rank_checked(&tahc, None, &pool, 3, 17);
+    let t = tournament_rank(&tahc, None, &pool, 3, 17);
     assert_eq!(t.quarantined, vec![victim]);
     assert_eq!(t.order.len(), pool.len());
 }

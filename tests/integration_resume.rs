@@ -130,6 +130,45 @@ fn torn_journal_tail_resumes_byte_identical() {
 }
 
 #[test]
+fn journal_with_dropped_record_fields_resumes_byte_identical() {
+    // Journals written before `Record` lost its `bits` and `quarantined`
+    // fields carry `"bits":0,"quarantined":false` on every line. Replay
+    // reads fields by name, so such a journal must still resume exactly.
+    let (ref_sys, ref_report) = reference("old_format");
+    let dir = run_dir("old_format");
+    {
+        let _scope =
+            fault::FaultScope::activate(fault::FaultPlan::new().io_error("journal.append", 3));
+        let mut sys = AutoCts::new(AutoCtsConfig::test());
+        sys.pretrain_journaled(source_tasks(), &pre_cfg(), &dir).unwrap_err();
+    }
+    let journal = dir.join(JOURNAL_FILE);
+    let old_format: String = std::fs::read_to_string(&journal)
+        .unwrap()
+        .lines()
+        .map(|line| {
+            let (_, json) = line.split_once(' ').unwrap();
+            let json =
+                json.replacen(",\"epoch\":", ",\"bits\":0,\"quarantined\":false,\"epoch\":", 1);
+            format!("{:016x} {json}\n", autocts::persist::fnv64(json.as_bytes()))
+        })
+        .collect();
+    assert_eq!(old_format.matches("\"quarantined\":false").count(), 3, "{old_format}");
+    std::fs::write(&journal, old_format).unwrap();
+
+    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
+    let (sys, report) =
+        AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
+    assert_eq!(ref_report.epoch_losses, report.epoch_losses);
+    assert_eq!(params_of(&ref_sys), params_of(&sys));
+    // The old shard record was replayed, not dropped as a torn tail.
+    let resumed = std::fs::read_to_string(&journal).unwrap();
+    assert!(resumed.lines().nth(2).unwrap().contains("\"quarantined\":false"), "{resumed}");
+    assert!(!resumed.lines().nth(3).unwrap().contains("\"quarantined\""), "{resumed}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resuming_a_completed_run_is_idempotent() {
     let dir = run_dir("idempotent");
     let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());

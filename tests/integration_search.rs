@@ -2,12 +2,17 @@
 //! strategies on the same task, plus ranking-quality invariants.
 
 use autocts::prelude::*;
-use octs_comparator::{Tahc, TahcConfig};
+use octs_comparator::Ts2VecConfig;
+use octs_comparator::{label_one, LabeledAh, Tahc, TahcConfig, TaskEmbedConfig, TaskEmbedder};
 use octs_data::metrics::kendall_tau;
 use octs_model::early_validation;
 use octs_search::{
-    grid_search_hpo, random_search, round_robin_rank, supernet_search, SupernetConfig,
+    grid_search_hpo, promote_by_score, random_search, round_robin_rank, supernet_search,
+    tournament_rank, zero_shot_rank, zero_shot_search, zero_shot_search_laddered,
+    FinalistPromotion, LadderConfig, SupernetConfig,
 };
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 fn task(seed: u64) -> ForecastTask {
     let p = DatasetProfile::custom("is", Domain::Traffic, 4, 240, 24, 0.4, 0.08, 10.0, seed);
@@ -63,7 +68,7 @@ fn oracle_comparator_ranking_matches_true_ranking() {
     // And the comparator-based round-robin must at least be a permutation.
     let tahc =
         Tahc::new(TahcConfig { task_aware: false, ..TahcConfig::test() }, space.hyper.clone(), 0);
-    let order = round_robin_rank(&tahc, None, &candidates);
+    let order = round_robin_rank(&tahc, None, &candidates).order;
     let mut sorted = order.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, (0..candidates.len()).collect::<Vec<_>>());
@@ -84,4 +89,90 @@ fn joint_space_beats_architecture_only_in_reachable_configs() {
     assert!(hs.len() >= 3, "H diversity: {hs:?}");
     assert!(cs.len() >= 2, "C diversity: {cs:?}");
     assert!(bs.len() >= 3, "B diversity: {bs:?}");
+}
+
+#[test]
+fn pretrained_screener_ranks_the_ladder_screen() {
+    // `AutoCts::search_laddered` screens the ladder's pool with the system's
+    // pretrained T-AHC and the task's preliminary embedding instead of a
+    // fresh comparator: the stage-0 survivors must be the head of exactly
+    // that tournament over the canonical (fingerprint-sorted) pool.
+    let mut sys = AutoCts::new(AutoCtsConfig::test());
+    let sources = vec![task(11), task(12)];
+    sys.pretrain(sources, &PretrainConfig { epochs: 10, ..PretrainConfig::test() });
+    let target = task(13);
+    let cfg = AutoCtsPlusConfig::test();
+    let ladder = LadderConfig::test();
+
+    let a = sys.search_laddered(&target, &cfg, &ladder).unwrap();
+    let b = sys.search_laddered(&target, &cfg, &ladder).unwrap();
+    assert_eq!(a.best, b.best);
+    assert_eq!(a.best_report.best_val_mae.to_bits(), b.best_report.best_val_mae.to_bits());
+    assert_eq!(a.survivors, b.survivors);
+
+    let prelim = sys.embedder.preliminary(&target);
+    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut pool = sys.cfg.space.sample_distinct(ladder.pool, &mut rng);
+    pool.sort_by_key(|ah| ah.fingerprint());
+    let screen =
+        tournament_rank(&sys.tahc, Some(&prelim), &pool, ladder.screen_rounds, cfg.seed ^ 0x5C12);
+    let want: Vec<u64> =
+        screen.order.iter().take(ladder.stage1).map(|&i| pool[i].fingerprint()).collect();
+    assert_eq!(a.survivors[0], want);
+
+    // The fixture must tell the two screeners apart: the fresh screener of
+    // a plain ladder run promotes a different stage-0 set.
+    let plain =
+        octs_search::fidelity_ladder_search(&target, &sys.cfg.space, &cfg, &ladder).unwrap();
+    assert_ne!(plain.survivors[0], want, "fixture cannot tell the screeners apart");
+}
+
+#[test]
+fn zero_shot_searches_train_the_ranked_shortlist() {
+    // Both zero-shot searches are the rank-only pass plus a final stage:
+    // given identically seeded comparators and embedders, the plain search
+    // trains exactly the ranked shortlist in rank order, and the laddered
+    // search trains the proxy-promoted members of that same shortlist.
+    let space = JointSpace::tiny();
+    let fresh = || {
+        let tahc = Tahc::new(TahcConfig::test(), space.hyper.clone(), 0);
+        (tahc, TaskEmbedder::new(TaskEmbedConfig::test(), Ts2VecConfig::test(), 1))
+    };
+    let target = task(14);
+    let evolve_cfg = EvolveConfig { k_s: 12, generations: 1, top_k: 4, ..EvolveConfig::test() };
+    let train_cfg = TrainConfig::test();
+    let names = |finalists: &[(ArchHyper, octs_model::TrainReport)]| -> Vec<ArchHyper> {
+        finalists.iter().map(|(ah, _)| ah.clone()).collect()
+    };
+
+    let (tahc, mut embedder) = fresh();
+    let ranked = zero_shot_rank(&tahc, &mut embedder, &target, &space, &evolve_cfg).ranked;
+    assert_eq!(ranked.len(), evolve_cfg.top_k);
+
+    let (tahc, mut embedder) = fresh();
+    let plain = zero_shot_search(&tahc, &mut embedder, &target, &space, &evolve_cfg, &train_cfg);
+    assert_eq!(names(&plain.finalists), ranked);
+
+    let promotion = FinalistPromotion { proxy_epochs: 1, finalists: 2 };
+    let (tahc, mut embedder) = fresh();
+    let laddered = zero_shot_search_laddered(
+        &tahc,
+        &mut embedder,
+        &target,
+        &space,
+        &evolve_cfg,
+        &promotion,
+        &train_cfg,
+    )
+    .unwrap();
+    let proxy_cfg = TrainConfig { epochs: promotion.proxy_epochs, ..train_cfg.clone() };
+    let proxied: Vec<LabeledAh> =
+        (0..).zip(&ranked).map(|(unit, ah)| label_one(ah, &target, unit, &proxy_cfg)).collect();
+    let want: Vec<ArchHyper> =
+        promote_by_score(&proxied.iter().collect::<Vec<_>>(), promotion.finalists)
+            .into_iter()
+            .map(|l| l.ah.clone())
+            .collect();
+    assert_eq!(want.len(), promotion.finalists);
+    assert_eq!(names(&laddered.finalists), want);
 }
