@@ -22,7 +22,7 @@ use autocts::comparator::PretrainReport;
 use autocts::data::bank::{write_bank, BankConfig};
 use autocts::data::{BankManifest, BankStream};
 use autocts::prelude::*;
-use autocts::{fault, BankRunOptions};
+use autocts::BankRunOptions;
 use octs_model::TrainConfig;
 use octs_obs::{ObsScope, Recorder};
 use octs_search::EvolveConfig;
@@ -140,7 +140,6 @@ fn peak_rss_kb() -> u64 {
 
 /// Child-process entry: run one pipeline flavour over a bank, print peak RSS.
 fn rss_probe(flavour: &str, bank_dir: &Path, run_dir: &Path) {
-    let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
     let pre = pre_cfg();
     let mut sys = AutoCts::new(AutoCtsConfig::test());
     match flavour {
@@ -201,7 +200,6 @@ fn main() {
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
     let pre = pre_cfg();
 
     let (bank_tasks, shard_tasks) = if quick { (24, 8) } else { (2000, 125) };

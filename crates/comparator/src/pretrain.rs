@@ -189,8 +189,8 @@ pub fn task_label_units(
 pub fn label_one(ah: &ArchHyper, task: &ForecastTask, unit: u64, cfg: &TrainConfig) -> LabeledAh {
     let _obs = octs_obs::span_detail("label.unit", unit.to_string());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        octs_fault::with_unit(unit, || {
-            octs_fault::maybe_panic_unit();
+        octs_obs::fault::with_unit(unit, || {
+            octs_obs::fault::maybe_panic_unit();
             early_validation(ah, task, cfg)
         })
     }));
@@ -339,7 +339,7 @@ impl TahcTrainer {
     /// Runs one curriculum epoch, returning its mean BCE loss.
     ///
     /// A non-finite epoch loss (genuine divergence or an injected
-    /// [`octs_fault::pretrain_nan`]) rolls the comparator, optimizer and RNG
+    /// [`octs_obs::fault::pretrain_nan`]) rolls the comparator, optimizer and RNG
     /// back to the epoch start, halves the learning rate and retries — the
     /// restored RNG replays the identical pairing. After
     /// [`PRETRAIN_MAX_RETRIES`] failed attempts the loss is recorded as-is
@@ -351,7 +351,7 @@ impl TahcTrainer {
             let snap_params = tahc.ps.snapshot();
             let snap_opt = self.opt.clone();
             let snap_rng = self.rng.clone();
-            let inject = octs_fault::armed() && octs_fault::pretrain_nan(self.epoch);
+            let inject = octs_obs::fault::armed() && octs_obs::fault::pretrain_nan(self.epoch);
             let (mut loss, batches) = self.epoch_pass(tahc, bank, cfg);
             if inject {
                 loss = f32::NAN;
@@ -459,14 +459,6 @@ mod tests {
     use crate::ts2vec::Ts2VecConfig;
     use octs_data::{DatasetProfile, Domain, ForecastSetting};
 
-    /// An empty fault plan for tests that pretrain without faults: it waits
-    /// out `transient_pretrain_nan_rolls_back_and_recovers`, whose
-    /// process-wide NaN would otherwise land in whichever pretraining
-    /// reaches epoch 1 first.
-    fn quiet() -> octs_fault::FaultScope {
-        octs_fault::FaultScope::activate(octs_fault::FaultPlan::new())
-    }
-
     fn tiny_tasks(n: usize) -> Vec<ForecastTask> {
         (0..n)
             .map(|i| {
@@ -542,8 +534,8 @@ mod tests {
         // untouched, and the fan-out must survive the panic.
         let tasks = tiny_tasks(2);
         let cfg = PretrainConfig { l_shared: 3, l_random: 3, ..PretrainConfig::test() };
-        let _scope = octs_fault::FaultScope::activate(
-            octs_fault::FaultPlan::new().panic_unit(1).nan_loss(9, 0),
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().panic_unit(1).nan_loss(9, 0),
         );
         let space = JointSpace::tiny();
         let pool = shared_pool(&space, &cfg);
@@ -593,7 +585,6 @@ mod tests {
 
     #[test]
     fn trainer_state_roundtrip_resumes_bitwise() {
-        let _quiet = quiet();
         // Epochs 0..2 + serialize + restore + epochs 2..4 must equal an
         // uninterrupted 4-epoch run: same losses, same parameters, bit for
         // bit. This is the property the crash-safe pipeline builds on.
@@ -632,7 +623,9 @@ mod tests {
         let space = JointSpace::tiny();
         let cfg = PretrainConfig { epochs: 4, ..PretrainConfig::test() };
         let bank = tiny_bank(&cfg);
-        let _scope = octs_fault::FaultScope::activate(octs_fault::FaultPlan::new().pretrain_nan(1));
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().pretrain_nan(1),
+        );
         let mut tahc = Tahc::new(TahcConfig::test(), space.hyper.clone(), 0);
         let report = pretrain_tahc(&mut tahc, &bank, &cfg);
         assert_eq!(report.divergence_rollbacks, 1);
@@ -643,7 +636,6 @@ mod tests {
 
     #[test]
     fn repeated_task_pretrain_reports_nonzero_task_cache_hits() {
-        let _quiet = quiet();
         // The full AutoCTS+ per-task search runs the comparator task-unaware
         // (prelim = None), so its task-cache counters are legitimately zero.
         // A task-aware run over repeated tasks is the regime the cache
@@ -671,7 +663,6 @@ mod tests {
 
     #[test]
     fn pretraining_improves_over_chance() {
-        let _quiet = quiet();
         let space = JointSpace::tiny();
         let cfg = PretrainConfig { epochs: 8, ..PretrainConfig::test() };
         let bank = tiny_bank(&cfg);

@@ -20,12 +20,13 @@
 use crate::pretrain::{label_one, task_label_units, LabeledBank, PretrainConfig, TaskSamples};
 use crate::task_embed::TaskEmbedder;
 use octs_data::ForecastTask;
+use octs_obs::RunCtx;
 use octs_space::{ArchHyper, JointSpace};
 use rayon::prelude::*;
 
 /// Labels a single task against the shared pool and its own random samples
-/// (parallel over the task's units). Candidates that diverge or panic are
-/// quarantined, not fatal.
+/// (parallel over the task's units, each in the caller's run context).
+/// Candidates that diverge or panic are quarantined, not fatal.
 pub fn label_task(
     task: &ForecastTask,
     ti: usize,
@@ -34,8 +35,11 @@ pub fn label_task(
     cfg: &PretrainConfig,
 ) -> TaskSamples {
     let units = task_label_units(ti, shared, space, cfg);
-    let labeled: Vec<_> =
-        units.par_iter().map(|u| label_one(&u.ah, task, u.unit, &cfg.label_cfg)).collect();
+    let run = RunCtx::current();
+    let labeled: Vec<_> = units
+        .par_iter()
+        .map(|u| run.enter(|| label_one(&u.ah, task, u.unit, &cfg.label_cfg)))
+        .collect();
     let mut shared_l = Vec::with_capacity(cfg.l_shared);
     let mut random_l = Vec::with_capacity(cfg.l_random);
     for (u, l) in units.iter().zip(labeled) {

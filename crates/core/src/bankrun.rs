@@ -45,6 +45,7 @@ use octs_comparator::{
     TahcTrainerState, TaskEmbedder, TaskSamples,
 };
 use octs_data::{BankManifest, BankStream, ForecastTask, ShardError};
+use octs_obs::RunCtx;
 use octs_space::ArchHyper;
 use octs_tensor::{ParamStore, Tensor};
 use serde::{Deserialize, Serialize};
@@ -378,53 +379,56 @@ impl AutoCts {
             let failure: Mutex<Option<CoreError>> = Mutex::new(None);
             let embedder = &self.embedder;
             let space = &self.cfg.space;
+            let run = RunCtx::current();
             std::thread::scope(|scope| {
                 for shards in &todo_per_worker {
-                    let (pool, journal_mx, failure) = (&pool, &journal_mx, &failure);
+                    let (pool, journal_mx, failure, run) = (&pool, &journal_mx, &failure, &run);
                     scope.spawn(move || {
-                        let mut embedder = embedder.clone();
-                        for &s in shards {
-                            if failure.lock().unwrap().is_some() {
-                                return; // another worker already failed: stop
-                            }
-                            let (start, len) = source.shard(s);
-                            let mut labels = ShardLabels {
-                                shard: s as u64,
-                                start,
-                                prelims: Vec::with_capacity(len),
-                                samples: Vec::with_capacity(len),
-                            };
-                            let name = sidecar_name(s);
-                            let path = run_dir.join(&name);
-                            let outcome = source
-                                .for_each_task(s, opts.prefetch, |ti, task| {
-                                    labels.prelims.push(embedder.preliminary(task));
-                                    let samples = label_task(task, ti, pool, space, cfg);
-                                    labels.samples.push(SampleRec::of(&samples));
-                                })
-                                .and_then(|()| {
-                                    serde_json::to_string(&labels).map_err(|e| {
-                                        CoreError::corrupt(
-                                            &path,
-                                            format!("shard labels serialization: {e}"),
-                                        )
+                        run.enter(|| {
+                            let mut embedder = embedder.clone();
+                            for &s in shards {
+                                if failure.lock().unwrap().is_some() {
+                                    return; // another worker already failed: stop
+                                }
+                                let (start, len) = source.shard(s);
+                                let mut labels = ShardLabels {
+                                    shard: s as u64,
+                                    start,
+                                    prelims: Vec::with_capacity(len),
+                                    samples: Vec::with_capacity(len),
+                                };
+                                let name = sidecar_name(s);
+                                let path = run_dir.join(&name);
+                                let outcome = source
+                                    .for_each_task(s, opts.prefetch, |ti, task| {
+                                        labels.prelims.push(embedder.preliminary(task));
+                                        let samples = label_task(task, ti, pool, space, cfg);
+                                        labels.samples.push(SampleRec::of(&samples));
                                     })
-                                })
-                                .and_then(|json| {
-                                    persist::write_envelope(&path, BANKRUN_VERSION, &json)
-                                })
-                                .and_then(|()| {
-                                    let mut rec = Record::of_kind("shard");
-                                    rec.unit = s as u64;
-                                    rec.detail = name;
-                                    journal_mx.lock().unwrap().append(&rec)
-                                });
-                            if let Err(e) = outcome {
-                                failure.lock().unwrap().get_or_insert(e);
-                                return;
+                                    .and_then(|()| {
+                                        serde_json::to_string(&labels).map_err(|e| {
+                                            CoreError::corrupt(
+                                                &path,
+                                                format!("shard labels serialization: {e}"),
+                                            )
+                                        })
+                                    })
+                                    .and_then(|json| {
+                                        persist::write_envelope(&path, BANKRUN_VERSION, &json)
+                                    })
+                                    .and_then(|()| {
+                                        let mut rec = Record::of_kind("shard");
+                                        rec.unit = s as u64;
+                                        rec.detail = name;
+                                        journal_mx.lock().unwrap().append(&rec)
+                                    });
+                                if let Err(e) = outcome {
+                                    failure.lock().unwrap().get_or_insert(e);
+                                    return;
+                                }
+                                octs_obs::event("bankrun.shard_done", s as f64, &sidecar_name(s));
                             }
-                            octs_obs::event("bankrun.shard_done", s as f64, &sidecar_name(s));
-                        }
+                        })
                     });
                 }
             });

@@ -98,10 +98,10 @@ impl Journal {
     }
 
     /// Appends one record (checksummed, flushed, fsynced). The deterministic
-    /// fault hook `octs_fault::io_fault("journal.append", seq)` fires first,
+    /// fault hook `octs_obs::fault::io_fault("journal.append", seq)` fires first,
     /// so tests can simulate a crash at an exact journal boundary.
     pub fn append(&mut self, rec: &Record) -> Result<(), CoreError> {
-        octs_fault::io_fault("journal.append", self.seq)
+        octs_obs::fault::io_fault("journal.append", self.seq)
             .map_err(|e| CoreError::io(&self.path, "append", e))?;
         let t0 = std::time::Instant::now();
         let json = serde_json::to_string(rec)
@@ -146,13 +146,6 @@ fn parse_line(line: &str) -> Option<Record> {
 mod tests {
     use super::*;
 
-    /// An empty fault plan for tests that append without faults: it waits
-    /// out `injected_io_fault_fails_exact_append`, whose process-wide plan
-    /// would otherwise fail their appends too.
-    fn quiet() -> octs_fault::FaultScope {
-        octs_fault::FaultScope::activate(octs_fault::FaultPlan::new())
-    }
-
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("octs_journal_{name}_{}", std::process::id()))
     }
@@ -163,7 +156,6 @@ mod tests {
 
     #[test]
     fn append_and_replay() {
-        let _quiet = quiet();
         let p = tmp("replay");
         std::fs::remove_file(&p).ok();
         {
@@ -180,7 +172,6 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_and_truncated() {
-        let _quiet = quiet();
         let p = tmp("torn");
         std::fs::remove_file(&p).ok();
         {
@@ -204,7 +195,6 @@ mod tests {
 
     #[test]
     fn interior_corruption_is_an_error() {
-        let _quiet = quiet();
         let p = tmp("interior");
         std::fs::remove_file(&p).ok();
         {
@@ -223,8 +213,8 @@ mod tests {
     fn injected_io_fault_fails_exact_append() {
         let p = tmp("iofault");
         std::fs::remove_file(&p).ok();
-        let _scope = octs_fault::FaultScope::activate(
-            octs_fault::FaultPlan::new().io_error("journal.append", 1),
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().io_error("journal.append", 1),
         );
         let (mut j, _) = Journal::open(&p).unwrap();
         j.append(&shard(0)).unwrap();

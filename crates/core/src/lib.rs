@@ -52,7 +52,7 @@ pub use journal::{Journal, Record};
 
 // The deterministic fault-injection harness, re-exported so integration
 // tests and benches reach it through the facade.
-pub use octs_fault as fault;
+pub use octs_obs::fault;
 
 // Re-export the component crates wholesale for power users.
 pub use octs_baselines as baselines;

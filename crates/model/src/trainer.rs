@@ -287,7 +287,7 @@ pub fn train_forecaster<M: CtsForecastModel + ?Sized>(
             let (g, pred) = fc.forward(&batch.x);
             let loss = pred.mae_loss(&g.constant(batch.y));
             let mut loss_val = loss.value().item();
-            if octs_fault::armed() && octs_fault::nan_loss_at(epoch) {
+            if octs_obs::fault::armed() && octs_obs::fault::nan_loss_at(epoch) {
                 loss_val = f32::NAN;
             }
             if guard && !loss_val.is_finite() {
@@ -509,9 +509,10 @@ mod tests {
         // with finite weights.
         let task = small_task();
         let ah = sample_ah(9);
-        let _scope =
-            octs_fault::FaultScope::activate(octs_fault::FaultPlan::new().transient_nan(77, 1));
-        octs_fault::with_unit(77, || {
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().transient_nan(77, 1),
+        );
+        octs_obs::fault::with_unit(77, || {
             let dims = ModelDims::new(4, 1, task.setting);
             let mut fc = Forecaster::new(ah.clone(), dims, &task.data.adjacency, 5);
             let report = train_forecaster(&mut fc, &task, &TrainConfig::test());
@@ -529,8 +530,10 @@ mod tests {
         // the run must come back poisoned with the worst-rank proxy label.
         let task = small_task();
         let ah = sample_ah(12);
-        let _scope = octs_fault::FaultScope::activate(octs_fault::FaultPlan::new().nan_loss(41, 0));
-        octs_fault::with_unit(41, || {
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().nan_loss(41, 0),
+        );
+        octs_obs::fault::with_unit(41, || {
             let report = {
                 let dims = ModelDims::new(4, 1, task.setting);
                 let mut fc = Forecaster::new(ah.clone(), dims, &task.data.adjacency, 5);
@@ -541,7 +544,7 @@ mod tests {
             assert!(early_validation(&ah, &task, &TrainConfig::test()).is_infinite());
         });
         // Other units are untouched.
-        octs_fault::with_unit(40, || {
+        octs_obs::fault::with_unit(40, || {
             assert!(early_validation(&ah, &task, &TrainConfig::test()).is_finite());
         });
     }

@@ -1,58 +1,31 @@
-//! # octs-fault
+//! Deterministic fault injection for the AutoCTS+ robustness layer.
 //!
-//! A deterministic fault-injection harness for the AutoCTS+ robustness layer.
+//! Long-running phases (label collection, comparator pre-training, ranking,
+//! serving) must survive diverging trainings, panicking evaluations and IO
+//! errors or delays. A [`FaultPlan`] schedules exactly those failures, keyed
+//! by identifiers the pipelines already have: a labelling **unit** (one
+//! candidate on one task), a **candidate index** in a ranking pool, a
+//! comparator pre-training **epoch**, or a **(site, op)** pair such as the
+//! `k`-th `journal.append`, the `k`-th batched forward at
+//! `serve.forward.<task>` or the `k`-th int8 load probe at
+//! `serve.quant.<task>`. Every recovery path is thus exercised
+//! deterministically.
 //!
-//! Long-running phases — early-validation label collection, comparator
-//! pre-training, comparator-guided ranking — must survive three classes of
-//! failure: diverging candidate trainings (NaN losses), panicking candidate
-//! evaluations, and IO errors while journaling progress. This crate lets
-//! tests and benchmarks *schedule* exactly those failures at chosen points,
-//! so every recovery path is exercised deterministically.
-//!
-//! ## Model
-//!
-//! A [`FaultPlan`] names the faults to inject, keyed by the deterministic
-//! identifiers the pipelines already have:
-//!
-//! - **unit** — the flat index of a labelling unit (one candidate on one
-//!   task). Unit-keyed faults poison a specific candidate's training
-//!   ([`FaultPlan::nan_loss`]) or make its evaluation panic outright
-//!   ([`FaultPlan::panic_unit`]).
-//! - **candidate index** inside a ranking pool ([`FaultPlan::compare_panic`])
-//!   — the candidate's comparator embedding panics, exercising the ranking
-//!   layer's quarantine.
-//! - **(site, op)** for IO faults ([`FaultPlan::io_error`]) — e.g. the `k`-th
-//!   journal append fails, simulating a crash at that journal boundary.
-//! - **(site, op)** for forward faults ([`FaultPlan::panic_at`],
-//!   [`FaultPlan::nan_at`]) — the `k`-th batched forward at a serving site
-//!   (e.g. `serve.forward.<task>`) panics mid-flight or emits non-finite
-//!   output, exercising the lane's batch isolation and circuit breaker.
-//! - **(site, op)** for quantization overflows ([`FaultPlan::quant_overflow`])
-//!   — the `k`-th int8 load probe at `serve.quant.<task>` saturates its
-//!   activation quantization, so the probe must trip the serving layer's
-//!   precision fallback instead of shipping clipped forecasts.
-//! - **epoch** for transient comparator pre-training NaNs
-//!   ([`FaultPlan::pretrain_nan`]) — consumed once, so the rollback + retry
-//!   path is seen to recover.
-//!
-//! Plans activate process-globally through a [`FaultScope`] guard that holds
-//! an exclusive lock (concurrent fault tests serialize instead of
-//! cross-contaminating) and deactivate on drop. When no scope is active
-//! every hook is a single relaxed atomic load — the production fast path.
+//! A [`FaultScope`] arms a plan on the current run (see [`crate::RunCtx`])
+//! and restores the run's previous plan on drop; the plan reaches that run's
+//! workers and no other run. With no plan armed every hook is one
+//! thread-local read and one relaxed atomic load.
 //!
 //! Injected panics carry the [`InjectedPanic`] payload and are muted by the
 //! scope's panic hook, so fault-suite output stays readable; real panics
 //! still print through the previous hook.
 
-#![warn(missing_docs)]
-
+use crate::ctx::{self, Held, OnDrop};
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// The payload of every injected panic; lets `catch_unwind` sites and the
 /// quiet panic hook distinguish scheduled faults from genuine bugs.
@@ -195,30 +168,14 @@ impl FaultPlan {
         units.shuffle(&mut rng);
         let mut plan = Self::new();
         let mut it = units.into_iter();
-        for _ in 0..n_nan {
-            if let Some(u) = it.next() {
-                plan.nan_loss_units.insert(u, 0);
-            }
-        }
-        for _ in 0..n_panic {
-            if let Some(u) = it.next() {
-                plan.panic_units.insert(u);
-            }
-        }
-        for &(site, n_ops) in io_sites {
-            if n_ops == 0 {
-                continue;
-            }
-            use rand::Rng;
+        plan.nan_loss_units.extend(it.by_ref().take(n_nan).map(|u| (u, 0)));
+        plan.panic_units.extend(it.take(n_panic));
+        for &(site, n_ops) in io_sites.iter().filter(|s| s.1 > 0) {
             plan.io_faults.insert((site.to_string(), rng.gen_range(0..n_ops)));
             let op = rng.gen_range(0..n_ops);
             plan.io_delays.insert((site.to_string(), op), rng.gen_range(1..=15));
         }
-        for &(site, n_ops) in quant_sites {
-            if n_ops == 0 {
-                continue;
-            }
-            use rand::Rng;
+        for &(site, n_ops) in quant_sites.iter().filter(|s| s.1 > 0) {
             plan.quant_overflows.insert((site.to_string(), rng.gen_range(0..n_ops)));
         }
         plan
@@ -230,47 +187,30 @@ impl FaultPlan {
     }
 }
 
-/// One-shot triggers are consumed at fire time, so the active plan lives
-/// behind a mutex; `ARMED` keeps the inactive fast path to one atomic load.
-static ACTIVE: Mutex<Option<FaultPlan>> = Mutex::new(None);
-static ARMED: AtomicBool = AtomicBool::new(false);
-/// Serializes fault scopes across threads (test isolation).
-static SCOPE: Mutex<()> = Mutex::new(());
-
 thread_local! {
     static CURRENT_UNIT: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// RAII guard keeping a [`FaultPlan`] active; deactivates on drop. Only one
-/// scope exists at a time process-wide.
+/// RAII guard keeping a [`FaultPlan`] armed on the current run; restores the
+/// run's previous plan on drop.
 pub struct FaultScope {
-    _lock: MutexGuard<'static, ()>,
+    _held: Held<FaultPlan>,
 }
 
 impl FaultScope {
-    /// Activates `plan` for the lifetime of the returned guard. Blocks if
-    /// another scope is active (fault tests serialize).
+    /// Arms `plan` on the current thread's run context for the lifetime of
+    /// the returned guard.
     pub fn activate(plan: FaultPlan) -> Self {
-        let lock = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
-        *ACTIVE.lock().expect("fault plan lock") = Some(plan);
-        ARMED.store(true, Ordering::SeqCst);
         install_quiet_hook();
-        Self { _lock: lock }
+        Self { _held: Held::arm(plan) }
     }
 }
 
-impl Drop for FaultScope {
-    fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-/// True when a fault plan is active (one relaxed load — the fast path every
+/// True when the current run has a fault plan armed (the fast path every
 /// hook takes first).
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+    ctx::armed::<FaultPlan>()
 }
 
 /// Runs `f` with the current thread's fault unit set to `unit` (restored
@@ -278,17 +218,9 @@ pub fn armed() -> bool {
 /// the trainer's hooks know which unit they are running for. Cheap enough to
 /// call unconditionally.
 pub fn with_unit<R>(unit: u64, f: impl FnOnce() -> R) -> R {
-    CURRENT_UNIT.with(|c| {
-        let prev = c.replace(Some(unit));
-        struct Restore<'a>(&'a Cell<Option<u64>>, Option<u64>);
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.0.set(self.1);
-            }
-        }
-        let _restore = Restore(c, prev);
-        f()
-    })
+    let prev = CURRENT_UNIT.with(|c| c.replace(Some(unit)));
+    let _restore = OnDrop(Some(move || CURRENT_UNIT.with(|c| c.set(prev))));
+    f()
 }
 
 /// The fault unit the current thread is labelling, if any.
@@ -297,11 +229,7 @@ pub fn current_unit() -> Option<u64> {
 }
 
 fn with_plan<R>(f: impl FnOnce(&mut FaultPlan) -> R) -> Option<R> {
-    if !armed() {
-        return None;
-    }
-    let mut guard = ACTIVE.lock().unwrap_or_else(|e| e.into_inner());
-    guard.as_mut().map(f)
+    ctx::with(f)
 }
 
 /// Hook for the forecaster trainer: true when the current unit's loss should
@@ -342,9 +270,6 @@ pub fn maybe_panic_unit() {
 /// Hook for the ranking layer: panics (with [`InjectedPanic`]) if ranking-
 /// pool candidate `idx` is scheduled to fail during embedding.
 pub fn maybe_panic_compare(idx: usize) {
-    if !armed() {
-        return;
-    }
     if with_plan(|p| p.compare_panic_units.contains(&(idx as u64))).unwrap_or(false) {
         std::panic::panic_any(InjectedPanic { unit: idx as u64 });
     }
@@ -353,18 +278,12 @@ pub fn maybe_panic_compare(idx: usize) {
 /// Hook for comparator pre-training: true once per scheduled `epoch`
 /// (consumed), so the epoch-level rollback retries into a clean run.
 pub fn pretrain_nan(epoch: usize) -> bool {
-    if !armed() {
-        return false;
-    }
     with_plan(|p| p.pretrain_nan_epochs.remove(&epoch)).unwrap_or(false)
 }
 
 /// Hook for persistence layers: returns a scheduled IO error for
 /// `(site, op)` exactly once, `Ok(())` otherwise.
 pub fn io_fault(site: &str, op: u64) -> std::io::Result<()> {
-    if !armed() {
-        return Ok(());
-    }
     let fired = with_plan(|p| p.io_faults.remove(&(site.to_string(), op))).unwrap_or(false);
     if fired {
         Err(std::io::Error::other(format!("injected IO fault at {site}#{op}")))
@@ -378,9 +297,6 @@ pub fn io_fault(site: &str, op: u64) -> std::io::Result<()> {
 /// scheduled to fail. Call inside the `catch_unwind` that isolates the
 /// forward, so the injected panic exercises the real recovery path.
 pub fn maybe_panic_site(site: &str, op: u64) {
-    if !armed() {
-        return;
-    }
     if with_plan(|p| p.site_panics.contains(&(site.to_string(), op))).unwrap_or(false) {
         std::panic::panic_any(InjectedPanic { unit: op });
     }
@@ -391,9 +307,6 @@ pub fn maybe_panic_site(site: &str, op: u64) {
 /// responsible for actually poisoning its output so the downstream finite
 /// check fails the way a genuinely garbage forward would.
 pub fn nan_at_site(site: &str, op: u64) -> bool {
-    if !armed() {
-        return false;
-    }
     with_plan(|p| p.site_nans.remove(&(site.to_string(), op))).unwrap_or(false)
 }
 
@@ -403,9 +316,6 @@ pub fn nan_at_site(site: &str, op: u64) -> bool {
 /// quantization for the probe forward, so the downstream tolerance check
 /// fails the way a genuinely clipping model would.
 pub fn quant_overflow_at(site: &str, op: u64) -> bool {
-    if !armed() {
-        return false;
-    }
     with_plan(|p| p.quant_overflows.remove(&(site.to_string(), op))).unwrap_or(false)
 }
 
@@ -414,25 +324,17 @@ pub fn quant_overflow_at(site: &str, op: u64) -> bool {
 /// surrounding operation as usual, so an injected delay surfaces in the same
 /// latency histograms a genuinely slow disk would.
 pub fn io_delay(site: &str, op: u64) {
-    if !armed() {
-        return;
-    }
     let millis = with_plan(|p| p.io_delays.remove(&(site.to_string(), op))).flatten();
     if let Some(ms) = millis {
         std::thread::sleep(std::time::Duration::from_millis(ms));
     }
 }
 
-// --- quiet panic hook ----------------------------------------------------
-
-static QUIET_HOOK: std::sync::Once = std::sync::Once::new();
-
 /// Installed once, process-wide: mutes panics carrying the [`InjectedPanic`]
-/// payload (which only exist while a scope is active) and delegates every
-/// other panic to the hook that was installed before. Capturing the previous
-/// hook by move keeps this MSRV-clean — the hook-info type never needs to be
-/// named.
+/// payload and delegates every other panic to the previous hook (captured by
+/// move, so the hook-info type never needs naming).
 fn install_quiet_hook() {
+    static QUIET_HOOK: std::sync::Once = std::sync::Once::new();
     QUIET_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
@@ -450,15 +352,20 @@ mod tests {
 
     #[test]
     fn inactive_hooks_are_noops() {
-        assert!(!armed());
-        assert!(!nan_loss_at(0));
-        maybe_panic_unit();
-        maybe_panic_compare(3);
-        assert!(!pretrain_nan(0));
-        assert!(io_fault("journal.append", 0).is_ok());
-        maybe_panic_site("serve.forward.t", 0);
-        assert!(!nan_at_site("serve.forward.t", 0));
-        assert!(!quant_overflow_at("serve.quant.t", 0));
+        // another thread's run arms every fault probed here
+        crate::tests::armed_elsewhere(|| {
+            assert!(!armed());
+            with_unit(1, || {
+                assert!(!nan_loss_at(0));
+                maybe_panic_unit();
+            });
+            maybe_panic_compare(3);
+            assert!(!pretrain_nan(0));
+            assert!(io_fault("journal.append", 0).is_ok());
+            maybe_panic_site("serve.forward.t", 0);
+            assert!(!nan_at_site("serve.forward.t", 0));
+            assert!(!quant_overflow_at("serve.quant.t", 0));
+        });
     }
 
     #[test]

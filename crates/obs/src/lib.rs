@@ -1,39 +1,46 @@
 //! # octs-obs
 //!
-//! Lightweight structured observability for the AutoCTS+ search and training
-//! hot paths: **spans** (named monotonic timings), **counters**,
-//! **histograms** and **typed events**, collected by a [`Recorder`] that is
-//! attached process-globally through an [`ObsScope`] guard — the same hook
-//! pattern as `octs-fault`.
+//! The run context of the AutoCTS+ pipelines: structured observability and
+//! deterministic fault injection, both armed per run.
 //!
-//! ## Model
+//! - A [`Recorder`] collects **spans** (named monotonic timings),
+//!   **counters**, **histograms** and **typed events**; an [`ObsScope`]
+//!   attaches it to the current run.
+//! - A [`fault::FaultPlan`] schedules failures; a [`fault::FaultScope`] arms
+//!   it on the current run.
+//!
+//! Both live in one [`RunCtx`] slot shared by the run's threads. A scope sets
+//! its half on the current thread's slot and restores it on drop, so runs on
+//! different threads never wait for or see each other. Work follows the
+//! thread that started it: the ranking and labelling fan-outs, the bank
+//! shard workers and every serving lane enter their spawner's context; a
+//! lane shares the slot of the thread that started serving its task, so a
+//! scope activated there later reaches it whichever thread submits.
 //!
 //! Instrumented code calls free-function hooks ([`span`], [`counter`],
-//! [`observe`], [`event`]) without threading any handle through the call
-//! graph. When no recorder is attached every hook is a single relaxed atomic
-//! load — the production fast path stays untouched. When a recorder *is*
-//! attached, spans and events append to an in-memory trace buffer and
-//! counters/histograms accumulate into aggregation maps.
-//!
-//! Recording is strictly **observational**: no hook touches an RNG stream,
-//! reorders work or changes control flow, so a run with a recorder attached
-//! produces byte-identical results to a recorder-off run (the search suite
+//! [`observe`], [`event`]) without threading a handle through the call
+//! graph. With nothing attached a hook costs one thread-local read and one
+//! relaxed atomic load. Recording is strictly **observational**: no hook
+//! touches an RNG stream, reorders work or changes control flow, so a
+//! recorder-on run is byte-identical to a recorder-off run (the search suite
 //! enforces this for top-k rankings).
 //!
-//! ## Export
-//!
-//! - [`Recorder::ndjson`] — the raw trace, one JSON object per line
-//!   ([`TraceLine`]): every completed span and event in completion order,
-//!   followed by one `counter` line per counter with its final value.
-//! - [`Recorder::summary`] — an aggregated [`Summary`] (per-span-name
-//!   count/total/min/max, counter totals, histogram quantiles, event counts)
-//!   that serializes to a single JSON document.
+//! Export: [`Recorder::ndjson`] gives the raw trace, one [`TraceLine`] per
+//! completed span or event in completion order, then one `counter` line per
+//! counter; [`Recorder::summary`] gives an aggregated [`Summary`] (span
+//! count/total/min/max, counter totals, histogram quantiles, event counts).
 
 #![warn(missing_docs)]
 
+mod ctx;
+pub mod fault;
+
+pub use ctx::RunCtx;
+
+use ctx::Held;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -147,6 +154,17 @@ impl Inner {
     fn elapsed_us(&self) -> u64 {
         self.start.elapsed().as_micros() as u64
     }
+
+    fn push(&self, kind: &str, name: &str, t_us: u64, dur_us: u64, value: f64, detail: String) {
+        let (kind, name, thread) = (kind.to_string(), name.to_string(), thread_id());
+        lock(&self.lines).push(TraceLine { kind, name, t_us, dur_us, value, thread, detail });
+    }
+}
+
+/// Locks `m`, recovering the data of a poisoned lock (a panicking hook
+/// caller must not disable recording for the rest of the run).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// An in-memory trace collector. Cheap to clone (shared buffer); attach it
@@ -179,16 +197,10 @@ impl Recorder {
     /// The raw trace as NDJSON: every span/event line in completion order,
     /// then one `counter` line per counter with its final total.
     pub fn ndjson(&self) -> String {
-        let mut out = String::new();
-        let lines = self.inner.lines.lock().unwrap_or_else(|e| e.into_inner());
-        for l in lines.iter() {
-            out.push_str(&serde_json::to_string(l).expect("trace line serializes"));
-            out.push('\n');
-        }
         let now = self.inner.elapsed_us();
-        let counters = self.inner.counters.lock().unwrap_or_else(|e| e.into_inner());
-        for (name, v) in counters.iter() {
-            let line = TraceLine {
+        let counters: Vec<TraceLine> = lock(&self.inner.counters)
+            .iter()
+            .map(|(name, v)| TraceLine {
                 kind: "counter".to_string(),
                 name: name.clone(),
                 t_us: now,
@@ -196,11 +208,14 @@ impl Recorder {
                 value: *v as f64,
                 thread: 0,
                 detail: String::new(),
-            };
-            out.push_str(&serde_json::to_string(&line).expect("counter line serializes"));
-            out.push('\n');
-        }
-        out
+            })
+            .collect();
+        let lines = lock(&self.inner.lines);
+        lines
+            .iter()
+            .chain(&counters)
+            .map(|l| serde_json::to_string(l).expect("serializes") + "\n")
+            .collect()
     }
 
     /// Merges everything `other` recorded into this recorder, at the
@@ -214,30 +229,19 @@ impl Recorder {
         if Arc::ptr_eq(&self.inner, &other.inner) {
             return; // same shared buffer: absorbing would double everything
         }
-        {
-            let theirs = other.inner.lines.lock().unwrap_or_else(|e| e.into_inner());
-            let mut ours = self.inner.lines.lock().unwrap_or_else(|e| e.into_inner());
-            ours.extend(theirs.iter().cloned());
+        let lines = lock(&other.inner.lines).clone();
+        lock(&self.inner.lines).extend(lines);
+        for (name, v) in lock(&other.inner.counters).clone() {
+            *lock(&self.inner.counters).entry(name).or_insert(0) += v;
         }
-        {
-            let theirs = other.inner.counters.lock().unwrap_or_else(|e| e.into_inner());
-            let mut ours = self.inner.counters.lock().unwrap_or_else(|e| e.into_inner());
-            for (name, v) in theirs.iter() {
-                *ours.entry(name.clone()).or_insert(0) += v;
-            }
-        }
-        {
-            let theirs = other.inner.hists.lock().unwrap_or_else(|e| e.into_inner());
-            let mut ours = self.inner.hists.lock().unwrap_or_else(|e| e.into_inner());
-            for (name, samples) in theirs.iter() {
-                ours.entry(name.clone()).or_default().extend_from_slice(samples);
-            }
+        for (name, samples) in lock(&other.inner.hists).clone() {
+            lock(&self.inner.hists).entry(name).or_default().extend(samples);
         }
     }
 
     /// Aggregates the recording into a [`Summary`].
     pub fn summary(&self) -> Summary {
-        let lines = self.inner.lines.lock().unwrap_or_else(|e| e.into_inner());
+        let lines = lock(&self.inner.lines);
         let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
         let mut events: BTreeMap<String, u64> = BTreeMap::new();
         for l in lines.iter() {
@@ -260,8 +264,8 @@ impl Recorder {
             }
         }
         drop(lines);
-        let counters = self.inner.counters.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let hists = self.inner.hists.lock().unwrap_or_else(|e| e.into_inner());
+        let counters = lock(&self.inner.counters).clone();
+        let hists = lock(&self.inner.hists);
         let histograms = hists
             .iter()
             .map(|(name, vals)| {
@@ -301,13 +305,6 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<TraceLine>, String> {
         .collect()
 }
 
-/// The attached recorder lives behind a mutex; `ARMED` keeps the detached
-/// fast path to one atomic load (the `octs-fault` pattern).
-static ACTIVE: Mutex<Option<Arc<Inner>>> = Mutex::new(None);
-static ARMED: AtomicBool = AtomicBool::new(false);
-/// Serializes recorder scopes across threads (test isolation).
-static SCOPE: Mutex<()> = Mutex::new(());
-
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     static THREAD_ID: u64 = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
@@ -317,43 +314,29 @@ fn thread_id() -> u64 {
     THREAD_ID.with(|t| *t)
 }
 
-/// RAII guard keeping a [`Recorder`] attached; detaches on drop. Only one
-/// scope exists at a time process-wide (concurrent instrumented tests
-/// serialize instead of interleaving their traces).
+/// RAII guard keeping a [`Recorder`] attached to the current run; restores
+/// the run's previous recorder on drop.
 pub struct ObsScope {
-    _lock: MutexGuard<'static, ()>,
+    _held: Held<Arc<Inner>>,
 }
 
 impl ObsScope {
-    /// Attaches `recorder` for the lifetime of the returned guard. Blocks if
-    /// another scope is active.
+    /// Attaches `recorder` to the current thread's run context for the
+    /// lifetime of the returned guard.
     pub fn activate(recorder: &Recorder) -> Self {
-        let lock = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
-        *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = Some(recorder.inner.clone());
-        ARMED.store(true, Ordering::SeqCst);
-        Self { _lock: lock }
+        Self { _held: Held::arm(recorder.inner.clone()) }
     }
 }
 
-impl Drop for ObsScope {
-    fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-/// True when a recorder is attached (one relaxed load — the fast path every
+/// True when the current run has a recorder attached (the fast path every
 /// hook takes first).
 #[inline]
 pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+    ctx::armed::<Arc<Inner>>()
 }
 
 fn active() -> Option<Arc<Inner>> {
-    if !armed() {
-        return None;
-    }
-    ACTIVE.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    ctx::with(|inner: &mut Arc<Inner>| inner.clone())
 }
 
 /// A live span; records its duration into the trace when dropped. Inert (and
@@ -367,16 +350,7 @@ impl Drop for SpanGuard {
         if let Some((inner, name, detail, started)) = self.live.take() {
             let dur_us = started.elapsed().as_micros() as u64;
             let t_us = started.duration_since(inner.start).as_micros() as u64;
-            let line = TraceLine {
-                kind: "span".to_string(),
-                name: name.to_string(),
-                t_us,
-                dur_us,
-                value: 0.0,
-                thread: thread_id(),
-                detail,
-            };
-            inner.lines.lock().unwrap_or_else(|e| e.into_inner()).push(line);
+            inner.push("span", name, t_us, dur_us, 0.0, detail);
         }
     }
 }
@@ -398,25 +372,14 @@ pub fn span_detail(name: &'static str, detail: String) -> SpanGuard {
 /// Adds `delta` to counter `name`.
 pub fn counter(name: &str, delta: u64) {
     if let Some(inner) = active() {
-        *inner
-            .counters
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_insert(0) += delta;
+        *lock(&inner.counters).entry(name.to_string()).or_insert(0) += delta;
     }
 }
 
 /// Records one histogram sample under `name`.
 pub fn observe(name: &str, value: f64) {
     if let Some(inner) = active() {
-        inner
-            .hists
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_insert_with(Vec::new)
-            .push(value);
+        lock(&inner.hists).entry(name.to_string()).or_default().push(value);
     }
 }
 
@@ -424,31 +387,60 @@ pub fn observe(name: &str, value: f64) {
 /// free-form detail.
 pub fn event(name: &'static str, value: f64, detail: &str) {
     if let Some(inner) = active() {
-        let line = TraceLine {
-            kind: "event".to_string(),
-            name: name.to_string(),
-            t_us: inner.elapsed_us(),
-            dur_us: 0,
-            value,
-            thread: thread_id(),
-            detail: detail.to_string(),
-        };
-        inner.lines.lock().unwrap_or_else(|e| e.into_inner()).push(line);
+        inner.push("event", name, inner.elapsed_us(), 0, value, detail.to_string());
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultScope};
+    use std::sync::Barrier;
+
+    /// Runs `f` while another thread keeps a recorder and a fault plan armed
+    /// on its own run; returns what that recorder saw.
+    pub(crate) fn armed_elsewhere(f: impl FnOnce()) -> Summary {
+        let (ready, done) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                let rec = Recorder::new();
+                let _obs = ObsScope::activate(&rec);
+                let _faults = FaultScope::activate(
+                    FaultPlan::new()
+                        .nan_loss(1, 0)
+                        .panic_unit(1)
+                        .compare_panic(3)
+                        .pretrain_nan(0)
+                        .io_error("journal.append", 0)
+                        .panic_at("serve.forward.t", 0)
+                        .nan_at("serve.forward.t", 0)
+                        .quant_overflow("serve.quant.t", 0),
+                );
+                assert!(armed() && fault::armed());
+                ready.wait();
+                done.wait();
+                rec.summary()
+            });
+            ready.wait();
+            f();
+            done.wait();
+            other.join().unwrap()
+        })
+    }
 
     #[test]
     fn detached_hooks_are_noops() {
-        assert!(!armed());
-        let _s = span("noop");
-        counter("noop.counter", 3);
-        observe("noop.hist", 1.0);
-        event("noop.event", 0.0, "");
-        // nothing recorded anywhere: a fresh recorder stays empty
+        let elsewhere = armed_elsewhere(|| {
+            assert!(!armed());
+            let _s = span("noop");
+            counter("noop.counter", 3);
+            observe("noop.hist", 1.0);
+            event("noop.event", 0.0, "");
+        });
+        // nothing recorded anywhere: neither the run armed on the other
+        // thread nor a fresh recorder saw the hooks
+        assert!(elsewhere.spans.is_empty() && elsewhere.counters.is_empty());
+        assert!(elsewhere.histograms.is_empty() && elsewhere.events.is_empty());
         let rec = Recorder::new();
         assert!(rec.ndjson().is_empty());
         assert!(rec.summary().spans.is_empty());
@@ -599,11 +591,16 @@ mod tests {
         {
             let _scope = ObsScope::activate(&rec);
             event("main", 0.0, "");
-            std::thread::spawn(|| event("worker", 0.0, "")).join().unwrap();
+            let run = RunCtx::current();
+            std::thread::scope(|s| s.spawn(|| run.enter(|| event("worker", 0.0, ""))).join())
+                .unwrap();
+            // a raw thread has no run context: nothing it records lands
+            std::thread::spawn(|| event("raw", 0.0, "")).join().unwrap();
         }
         let lines = parse_ndjson(&rec.ndjson()).unwrap();
         let main_t = lines.iter().find(|l| l.name == "main").unwrap().thread;
         let worker_t = lines.iter().find(|l| l.name == "worker").unwrap().thread;
         assert_ne!(main_t, worker_t);
+        assert!(lines.iter().all(|l| l.name != "raw"), "raw thread recorded into the run");
     }
 }

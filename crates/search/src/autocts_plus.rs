@@ -257,8 +257,8 @@ mod tests {
 
         let reference = autocts_plus_search_with_pool(&t, &space, &cfg, healthy_pool).unwrap();
 
-        let _scope = octs_fault::FaultScope::activate(
-            octs_fault::FaultPlan::new().nan_loss(1, 0).panic_unit(3),
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().nan_loss(1, 0).panic_unit(3),
         );
         let faulted = autocts_plus_search_with_pool(&t, &space, &cfg, pool.clone()).unwrap();
 
@@ -318,8 +318,8 @@ mod tests {
         let cfg = AutoCtsPlusConfig::test();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let pool = space.sample_distinct(2, &mut rng);
-        let _scope = octs_fault::FaultScope::activate(
-            octs_fault::FaultPlan::new().panic_unit(0).panic_unit(1),
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().panic_unit(0).panic_unit(1),
         );
         assert_eq!(
             autocts_plus_search_with_pool(&t, &space, &cfg, pool).unwrap_err(),

@@ -451,8 +451,9 @@ mod tests {
         pool.sort_by_key(|ah| ah.fingerprint());
         let victim_unit = pool.iter().position(|ah| ah.fingerprint() == victim_fp).unwrap() as u64;
 
-        let _scope =
-            octs_fault::FaultScope::activate(octs_fault::FaultPlan::new().nan_loss(victim_unit, 0));
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().nan_loss(victim_unit, 0),
+        );
         let faulted = fidelity_ladder_search(&t, &space, &cfg, &ladder).unwrap();
         assert_eq!(
             faulted.quarantined.iter().map(|ah| ah.fingerprint()).collect::<Vec<_>>(),

@@ -22,6 +22,7 @@
 //! order, so the deterministic top-k contract is untouched.
 
 use octs_comparator::{CacheStats, Tahc};
+use octs_obs::RunCtx;
 use octs_space::ArchHyper;
 use octs_tensor::Tensor;
 use rand::Rng;
@@ -41,15 +42,17 @@ const RANK_CHUNK: usize = 64;
 /// with one rayon task per chunk. Outputs come back in index order (the
 /// vendored rayon's `collect` preserves input order and chunks are
 /// contiguous), so callers observe exactly the serial result. Work that
-/// fits in a single chunk never touches the parallel runtime.
+/// fits in a single chunk never touches the parallel runtime. Every chunk
+/// runs in the caller's run context.
 fn par_chunked<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync + Send) -> Vec<R> {
     if n <= RANK_CHUNK {
         return (0..n).map(f).collect();
     }
     let starts: Vec<usize> = (0..n).step_by(RANK_CHUNK).collect();
+    let run = RunCtx::current();
     let per_chunk: Vec<Vec<R>> = starts
         .par_iter()
-        .map(|&start| (start..(start + RANK_CHUNK).min(n)).map(&f).collect())
+        .map(|&start| run.enter(|| (start..(start + RANK_CHUNK).min(n)).map(&f).collect()))
         .collect();
     per_chunk.into_iter().flatten().collect()
 }
@@ -68,7 +71,7 @@ pub struct RankOutcome {
 
 /// Probes every candidate's comparator embedding under `catch_unwind` (in
 /// parallel). A candidate whose encoding panics — via an injected
-/// [`octs_fault::maybe_panic_compare`] or a genuine bug — is marked
+/// [`octs_obs::fault::maybe_panic_compare`] or a genuine bug — is marked
 /// unhealthy; because [`Tahc::embedding`] memoizes, a successful probe makes
 /// the subsequent match phase reuse the cached encoding.
 fn probe_candidates(tahc: &Tahc, candidates: &[ArchHyper]) -> Vec<bool> {
@@ -76,7 +79,7 @@ fn probe_candidates(tahc: &Tahc, candidates: &[ArchHyper]) -> Vec<bool> {
     par_chunked(candidates.len(), |i| {
         let started = instrumented.then(std::time::Instant::now);
         let ok = catch_unwind(AssertUnwindSafe(|| {
-            octs_fault::maybe_panic_compare(i);
+            octs_obs::fault::maybe_panic_compare(i);
             let _ = tahc.embedding(&candidates[i]);
         }))
         .is_ok();
@@ -373,8 +376,8 @@ mod tests {
         // obs event/counter is only the observable mirror of that record.
         let (tahc, ahs) = untrained_fixture(5);
         let victim = 2usize;
-        let _scope = octs_fault::FaultScope::activate(
-            octs_fault::FaultPlan::new().compare_panic(victim as u64),
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().compare_panic(victim as u64),
         );
 
         // No recorder armed: the outcome still carries the quarantine.
@@ -405,8 +408,8 @@ mod tests {
         let want = round_robin_rank(&tahc, None, &baseline).order;
         tahc.invalidate_caches();
 
-        let _scope = octs_fault::FaultScope::activate(
-            octs_fault::FaultPlan::new().compare_panic(victim as u64),
+        let _scope = octs_obs::fault::FaultScope::activate(
+            octs_obs::fault::FaultPlan::new().compare_panic(victim as u64),
         );
         let out = round_robin_rank(&tahc, None, &ahs);
         assert_eq!(out.quarantined, vec![victim]);

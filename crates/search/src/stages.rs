@@ -10,6 +10,7 @@ use crate::evolve::evolve_search;
 use octs_comparator::{label_one, LabeledAh, Tahc, TahcConfig};
 use octs_data::{ForecastTask, Split};
 use octs_model::{train_forecaster, Forecaster, ModelDims, TrainConfig, TrainReport};
+use octs_obs::RunCtx;
 use octs_space::{ArchHyper, JointSpace};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -42,14 +43,15 @@ pub(crate) fn validate(
 /// Labels every `(unit, candidate)` with the early-validation proxy `cfg`,
 /// in parallel and each isolated: a panic or divergence quarantines that
 /// candidate only. Fault plans address candidates by `unit`; labels come
-/// back in input order.
+/// back in input order. Every unit runs in the caller's run context.
 pub(crate) fn label_units<'a>(
     task: &ForecastTask,
     cfg: &TrainConfig,
     units: impl IntoIterator<Item = (u64, &'a ArchHyper)>,
 ) -> Vec<LabeledAh> {
     let units: Vec<(u64, &ArchHyper)> = units.into_iter().collect();
-    units.par_iter().map(|&(unit, ah)| label_one(ah, task, unit, cfg)).collect()
+    let run = RunCtx::current();
+    units.par_iter().map(|&(unit, ah)| run.enter(|| label_one(ah, task, unit, cfg))).collect()
 }
 
 /// What [`rank_and_train`] selected and what it cost.

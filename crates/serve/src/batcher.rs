@@ -7,6 +7,7 @@
 
 use crate::model::{validate_outputs, ServableModel};
 use crate::ServeError;
+use octs_obs::RunCtx;
 use octs_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -175,12 +176,14 @@ struct Job {
 /// (space for blocking producers, work for the consumer) instead of an
 /// `mpsc` channel, because admission control needs to *inspect and evict*
 /// queued jobs (drop-oldest, reject-when-full) and shutdown needs every
-/// later submit to fail promptly with a typed error.
+/// later submit to fail promptly with a typed error. Sheds are recorded in
+/// the lane's run context, whichever thread submits.
 struct LaneQueue {
     state: Mutex<QueueState>,
     nonempty: Condvar,
     nonfull: Condvar,
     depth: usize,
+    run: RunCtx,
 }
 
 struct QueueState {
@@ -195,12 +198,13 @@ enum Popped {
 }
 
 impl LaneQueue {
-    fn new(depth: usize) -> Self {
+    fn new(depth: usize, run: RunCtx) -> Self {
         Self {
             state: Mutex::new(QueueState { jobs: VecDeque::new(), closed: false }),
             nonempty: Condvar::new(),
             nonfull: Condvar::new(),
             depth,
+            run,
         }
     }
 
@@ -227,7 +231,7 @@ impl LaneQueue {
                     }
                 }
                 ShedPolicy::RejectWhenFull => {
-                    octs_obs::counter("serve.shed", 1);
+                    self.run.enter(|| octs_obs::counter("serve.shed", 1));
                     return Err(ServeError::Overloaded {
                         task: task.to_string(),
                         queue_depth: self.depth,
@@ -235,7 +239,7 @@ impl LaneQueue {
                 }
                 ShedPolicy::DropOldest => {
                     if let Some(oldest) = st.jobs.pop_front() {
-                        octs_obs::counter("serve.shed", 1);
+                        self.run.enter(|| octs_obs::counter("serve.shed", 1));
                         let _ = oldest.reply.send(Err(ServeError::Overloaded {
                             task: task.to_string(),
                             queue_depth: self.depth,
@@ -341,7 +345,10 @@ impl TaskLane {
     }
 
     /// Spawns the worker thread serving `model` under `policy`, with
-    /// `reloader` as the circuit breaker's heal path.
+    /// `reloader` as the circuit breaker's heal path. The lane shares the
+    /// calling thread's run context: a recorder or fault plan armed on that
+    /// thread, also after this call, reaches everything the lane records,
+    /// whichever thread submits the requests.
     pub fn spawn_with_reloader(
         model: ServableModel,
         policy: BatchPolicy,
@@ -351,7 +358,8 @@ impl TaskLane {
         assert!(policy.queue_depth >= 1, "queue_depth must be at least 1");
         assert!(policy.breaker_threshold >= 1, "breaker_threshold must be at least 1");
         let task = model.task.clone();
-        let queue = Arc::new(LaneQueue::new(policy.queue_depth));
+        let run = RunCtx::current();
+        let queue = Arc::new(LaneQueue::new(policy.queue_depth, run.clone()));
         let swap = Arc::new(Mutex::new(None));
         let version = Arc::new(AtomicU32::new(model.version));
         let ctx = WorkerCtx {
@@ -365,7 +373,7 @@ impl TaskLane {
         };
         let worker = std::thread::Builder::new()
             .name(format!("serve-{task}"))
-            .spawn(move || worker_loop(model, ctx))
+            .spawn(move || run.enter(|| worker_loop(model, ctx)))
             .expect("spawn serving worker");
         Self { task, queue, swap, version, shed: policy.shed, worker: Some(worker) }
     }
@@ -561,10 +569,10 @@ fn worker_loop(mut model: ServableModel, ctx: WorkerCtx) {
         // The guarded forward: a panic (real or injected) or non-finite
         // output fails only this batch — typed, never fatal to the lane.
         let outcome: Result<Vec<Tensor>, String> = catch_unwind(AssertUnwindSafe(|| {
-            octs_fault::io_delay(&ctx.site, op); // scheduled slow forward
-            octs_fault::maybe_panic_site(&ctx.site, op);
+            octs_obs::fault::io_delay(&ctx.site, op); // scheduled slow forward
+            octs_obs::fault::maybe_panic_site(&ctx.site, op);
             let mut outputs = model.predict_batch(&inputs);
-            if octs_fault::nan_at_site(&ctx.site, op) {
+            if octs_obs::fault::nan_at_site(&ctx.site, op) {
                 for t in &mut outputs {
                     *t = Tensor::full(t.shape().to_vec(), f32::NAN);
                 }

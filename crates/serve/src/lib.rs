@@ -60,7 +60,7 @@
 //! `serve.shed` / `serve.deadline_expired` / `serve.breaker_open` /
 //! `serve.breaker_close` / `serve.lane_restart` /
 //! `serve.precision_fallback` counters flow through
-//! `octs-obs` whenever a recorder is attached. Fault injection: `octs-fault`
+//! `octs-obs` whenever a recorder is attached. Fault injection: `octs_obs::fault`
 //! hooks at the `registry.load` site cover slow and failed checkpoint loads,
 //! the task-qualified `serve.forward.<task>` site covers slow, panicking
 //! and NaN-emitting forwards, and the `serve.quant.<task>` site forces

@@ -108,7 +108,7 @@ impl ServableModel {
     /// reference, and a normalized max error over [`INT8_PROBE_BUDGET`]
     /// demotes the model to [`Precision::Fused`] — counted and reported via
     /// the `serve.precision_fallback` observability hooks, never served
-    /// silently wrong. The `octs_fault` site [`quant_fault_site`] can force
+    /// silently wrong. The `octs_obs::fault` site [`quant_fault_site`] can force
     /// saturating activation quantization during the probe to exercise
     /// exactly this path.
     pub fn from_checkpoint_with(
@@ -156,7 +156,7 @@ impl ServableModel {
                 }
                 let site = quant_fault_site(&task);
                 let inject =
-                    octs_fault::quant_overflow_at(&site, (version as u64).saturating_sub(1));
+                    octs_obs::fault::quant_overflow_at(&site, (version as u64).saturating_sub(1));
                 if inject {
                     octs_tensor::ops::qgemm::set_saturation_injection(true);
                 }

@@ -11,7 +11,7 @@
 //! Each file is a checksummed, versioned [`autocts::persist`] envelope
 //! written atomically, so publish-while-serving never exposes a torn
 //! checkpoint and every corruption mode maps to a typed
-//! [`autocts::CoreError`]. Loads pass through the `octs-fault`
+//! [`autocts::CoreError`]. Loads pass through the `octs_obs::fault`
 //! `registry.load` site (ordinal = load count), which is where the
 //! slow-disk and failed-load scenarios are injected under test.
 
@@ -20,6 +20,7 @@ use crate::ServeError;
 use autocts::{persist, CoreError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// The fault-injection site name for checkpoint loads.
 pub const LOAD_FAULT_SITE: &str = "registry.load";
@@ -28,6 +29,9 @@ pub const LOAD_FAULT_SITE: &str = "registry.load";
 pub struct ModelRegistry {
     root: PathBuf,
     loads: AtomicU64,
+    /// Held across version assignment and the write, so concurrent
+    /// publishers through one registry get distinct versions.
+    publish: Mutex<()>,
 }
 
 impl ModelRegistry {
@@ -35,7 +39,7 @@ impl ModelRegistry {
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, CoreError> {
         let root = root.into();
         std::fs::create_dir_all(&root).map_err(|e| CoreError::io(&root, "create_dir", e))?;
-        Ok(Self { root, loads: AtomicU64::new(0) })
+        Ok(Self { root, loads: AtomicU64::new(0), publish: Mutex::new(()) })
     }
 
     /// The registry root directory.
@@ -75,9 +79,12 @@ impl ModelRegistry {
     /// Atomically publishes `ckpt` as the next version of its task,
     /// assigning and returning the version number. Readers concurrently
     /// loading see either the previous version set or the new one — never a
-    /// partial file.
+    /// partial file. Threads publishing through the same registry are
+    /// serialized, so each gets its own version; publishers in separate
+    /// processes sharing one root are out of scope.
     pub fn publish(&self, ckpt: &mut ServableCheckpoint) -> Result<u32, CoreError> {
         let _span = octs_obs::span("serve.registry.publish");
+        let _publishing = self.publish.lock().unwrap_or_else(|e| e.into_inner());
         let dir = self.task_dir(&ckpt.task);
         std::fs::create_dir_all(&dir).map_err(|e| CoreError::io(&dir, "create_dir", e))?;
         let version = self.latest(&ckpt.task).unwrap_or(0) + 1;
@@ -95,12 +102,13 @@ impl ModelRegistry {
     pub fn load(&self, task: &str, version: u32) -> Result<ServableCheckpoint, ServeError> {
         let _span = octs_obs::span("serve.registry.load");
         let op = self.loads.fetch_add(1, Ordering::Relaxed);
-        octs_fault::io_delay(LOAD_FAULT_SITE, op);
+        octs_obs::fault::io_delay(LOAD_FAULT_SITE, op);
         let path = self.version_path(task, version);
         if !path.exists() {
             return Err(ServeError::NoSuchVersion { task: task.to_string(), version });
         }
-        octs_fault::io_fault(LOAD_FAULT_SITE, op).map_err(|e| CoreError::io(&path, "read", e))?;
+        octs_obs::fault::io_fault(LOAD_FAULT_SITE, op)
+            .map_err(|e| CoreError::io(&path, "read", e))?;
         let json = persist::read_envelope(&path, SERVABLE_VERSION)?;
         let ckpt: ServableCheckpoint = serde_json::from_str(&json).map_err(|e| {
             CoreError::corrupt(&path, format!("unparseable checkpoint payload: {e}"))
@@ -126,7 +134,7 @@ impl ModelRegistry {
     }
 
     /// [`ModelRegistry::load_latest`] with retry-with-backoff on transient
-    /// IO failures (the `io_error` class a flaky disk — or the `octs-fault`
+    /// IO failures (the `io_error` class a flaky disk — or the `octs_obs::fault`
     /// `registry.load` site — produces). Up to `attempts` tries, waiting
     /// `backoff` then doubling between them; any non-IO error (missing
     /// version, corrupt envelope, poisoned payload) fails immediately. This

@@ -13,8 +13,8 @@
 //! sweep covers 3 seeds; `OCTS_CHAOS_WIDE=1` (nightly CI) widens it to 10.
 
 use octs_data::Adjacency;
-use octs_fault::{FaultPlan, FaultScope};
 use octs_model::{Forecaster, ModelDims};
+use octs_obs::fault::{FaultPlan, FaultScope};
 use octs_serve::{
     forward_fault_site, quant_fault_site, BatchPolicy, ForecastServer, ModelRegistry, Precision,
     ServableCheckpoint, ServableModel, ServeError, ShedPolicy,

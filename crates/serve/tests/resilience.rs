@@ -7,8 +7,8 @@
 //! though the fault hooks are process-global.
 
 use octs_data::Adjacency;
-use octs_fault::{FaultPlan, FaultScope};
 use octs_model::{Forecaster, ModelDims};
+use octs_obs::fault::{FaultPlan, FaultScope};
 use octs_serve::{
     forward_fault_site, BatchPolicy, ForecastServer, ModelRegistry, ServableCheckpoint,
     ServableModel, ServeError, ShedPolicy, TaskLane,

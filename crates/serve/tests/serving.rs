@@ -2,8 +2,8 @@
 //! hot swap under concurrent load, and fault-injected degradation.
 
 use octs_data::Adjacency;
-use octs_fault::{FaultPlan, FaultScope};
 use octs_model::{Forecaster, ModelDims};
+use octs_obs::fault::{FaultPlan, FaultScope};
 use octs_serve::{
     BatchPolicy, ForecastServer, ModelRegistry, ServableCheckpoint, ServableModel, ServeError,
 };
@@ -421,4 +421,99 @@ fn unbatched_policy_never_coalesces() {
     assert_eq!(s.counter("serve.batches"), 12, "max_batch=1 forwards one request at a time");
     let bs = s.histograms.iter().find(|h| h.name == "serve.batch_size").unwrap();
     assert_eq!(bs.max, 1.0);
+}
+
+/// Threads publishing through one registry each get their own version, and
+/// each version holds its own publisher's weights.
+#[test]
+fn concurrent_publishes_get_distinct_versions() {
+    const PUBLISHERS: u64 = 8;
+    let reg = Arc::new(tmp_registry("concurrent_publish"));
+    let barrier = Arc::new(Barrier::new(PUBLISHERS as usize));
+    let handles: Vec<_> = (0..PUBLISHERS)
+        .map(|seed| {
+            let (reg, barrier) = (Arc::clone(&reg), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let (fc, adj) = fixture_forecaster(seed);
+                let mut ckpt = ServableCheckpoint::new("t", &fc, &adj, seed);
+                barrier.wait();
+                (seed, reg.publish(&mut ckpt))
+            })
+        })
+        .collect();
+    let mut versions = Vec::new();
+    for h in handles {
+        let (seed, published) = h.join().unwrap();
+        let version = published.unwrap_or_else(|e| panic!("publisher {seed}: {e}"));
+        let loaded = reg.load("t", version).unwrap();
+        assert_eq!(loaded.seed, seed, "v{version} holds another publisher's checkpoint");
+        let (fc, _) = fixture_forecaster(seed);
+        for name in fc.ps.names() {
+            assert_eq!(loaded.params.get(&name).unwrap().data(), fc.ps.get(&name).unwrap().data());
+        }
+        versions.push(version);
+    }
+    versions.sort_unstable();
+    assert_eq!(versions, (1..=PUBLISHERS as u32).collect::<Vec<_>>());
+    std::fs::remove_dir_all(reg.root()).ok();
+}
+
+/// A lane shares the run context of the thread that started serving it: a
+/// recorder attached there after the server was built sees the lane's
+/// batches, whichever thread submits; a server started on another thread
+/// with its own recorder sees none of them.
+#[test]
+fn lanes_record_into_the_run_that_started_them() {
+    let barrier = Arc::new(Barrier::new(2));
+    let other = {
+        let barrier = Arc::clone(&barrier);
+        std::thread::spawn(move || {
+            let reg = tmp_registry("lane_run_c");
+            publish(&reg, "t", 2);
+            let server = ForecastServer::new(reg, BatchPolicy::default());
+            server.serve_task("t").unwrap();
+            let rec = octs_obs::Recorder::new();
+            let _obs = octs_obs::ObsScope::activate(&rec);
+            barrier.wait();
+            for i in 0..3 {
+                server.submit("t", probe_input(i)).unwrap();
+            }
+            barrier.wait();
+            std::fs::remove_dir_all(server.registry().root()).ok();
+            rec.summary()
+        })
+    };
+
+    let reg = tmp_registry("lane_run_a");
+    publish(&reg, "t", 1);
+    let server = Arc::new(ForecastServer::new(reg, BatchPolicy::default()));
+    server.serve_task("t").unwrap();
+    let rec = octs_obs::Recorder::new();
+    let _obs = octs_obs::ObsScope::activate(&rec);
+    barrier.wait();
+    for i in 0..4 {
+        server.submit("t", probe_input(i)).unwrap();
+    }
+    let from_a = rec.summary();
+    assert_eq!(from_a.counter("serve.requests"), 4);
+    assert!(from_a.histogram("serve.batch_size").is_some_and(|h| h.count >= 1));
+
+    let raw = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            for i in 0..3 {
+                server.submit("t", probe_input(i)).unwrap();
+            }
+        })
+    };
+    raw.join().unwrap();
+    barrier.wait();
+    let c = other.join().unwrap();
+
+    let a = rec.summary();
+    assert_eq!(a.counter("serve.requests"), 7, "raw-thread requests land in A's run");
+    let sizes = a.histogram("serve.batch_size").unwrap();
+    assert_eq!((sizes.mean * sizes.count as f64).round(), 7.0, "every batch recorded in A");
+    assert_eq!(c.counter("serve.requests"), 3, "C's run sees only its own requests");
+    std::fs::remove_dir_all(server.registry().root()).ok();
 }

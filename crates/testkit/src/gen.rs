@@ -12,7 +12,7 @@
 //! sweep reports.
 
 use octs_data::{DatasetProfile, Domain, ForecastSetting, ForecastTask};
-use octs_fault::FaultPlan;
+use octs_obs::fault::FaultPlan;
 use octs_search::LadderConfig;
 use octs_space::{ArchHyper, JointSpace};
 use rand::seq::SliceRandom;

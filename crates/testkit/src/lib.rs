@@ -9,7 +9,7 @@
 //!
 //! - [`gen`] — seeded, shrinking generators for [`octs_space::ArchHyper`]
 //!   candidates, synthetic CTS datasets, task descriptors, and
-//!   [`octs_fault::FaultPlan`]s. Every generated value derives from a single
+//!   [`octs_obs::fault::FaultPlan`]s. Every generated value derives from a single
 //!   `u64` seed, so any failure replays from the seed printed in the assert
 //!   message; [`gen::shrink`] greedily minimizes a failing value.
 //! - [`conformance`] — a differential gradient-conformance sweep that

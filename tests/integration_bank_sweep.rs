@@ -5,8 +5,9 @@
 //! journal append — including every shard boundary — even when the resume
 //! runs under different execution geometry.
 //!
-//! Every run holds a [`fault::FaultScope`] (an empty plan for clean runs) so
-//! fault activations from concurrent test threads serialize.
+//! Each kill arms its fault plan on the test thread's run context only, so
+//! the clean runs need no scope and concurrent tests never see each other's
+//! faults.
 
 use autocts::comparator::PretrainReport;
 use autocts::data::bank::{write_bank, BankConfig};
@@ -78,7 +79,6 @@ fn single_shard_bank_matches_in_memory_pretrain_and_golden() {
     // golden bits: `pretrain` (no journal), `pretrain_journaled` (in-memory
     // tasks, one shard per task) and `pretrain_bank_journaled` (one bank
     // shard, so the encoder sees the same datasets).
-    let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
     let cfg = bank_cfg(4, 4);
     let pre = pre_cfg();
 
@@ -126,7 +126,6 @@ fn single_shard_bank_matches_in_memory_pretrain_and_golden() {
 
 #[test]
 fn any_worker_count_and_prefetch_window_is_byte_identical() {
-    let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
     // Generated multi-shard bank: the layout (not the contents) comes from
     // the testkit generator, shard size pinned small so shards ≥ 3.
     let mut g = Gen::from_seed(11);
@@ -172,13 +171,9 @@ fn kill_at_every_append_resumes_bit_identical_under_new_geometry() {
     let cfg = bank_cfg(4, 1);
     let pre = pre_cfg();
     let bank_dir = tmp_dir("kill_bank");
-    {
-        let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
-        write_bank(&bank_dir, &cfg).unwrap();
-    }
+    write_bank(&bank_dir, &cfg).unwrap();
 
     let (ref_sys, ref_report, n_appends) = {
-        let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
         let run_dir = tmp_dir("kill_ref");
         let mut sys = AutoCts::new(AutoCtsConfig::test());
         let report = sys
@@ -205,7 +200,6 @@ fn kill_at_every_append_resumes_bit_identical_under_new_geometry() {
                 .unwrap_err();
             assert!(matches!(err, CoreError::Io { op: "append", .. }), "append {k}: {err}");
         }
-        let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
         let (sys, report) = AutoCts::resume_bank(
             AutoCtsConfig::test(),
             &bank_dir,
@@ -222,7 +216,6 @@ fn kill_at_every_append_resumes_bit_identical_under_new_geometry() {
 
 #[test]
 fn artifact_loads_pretrained_and_ranks_like_the_original() {
-    let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
     let cfg = bank_cfg(4, 2);
     let pre = pre_cfg();
     let bank_dir = tmp_dir("artifact_bank");
@@ -256,7 +249,6 @@ fn artifact_loads_pretrained_and_ranks_like_the_original() {
 
 #[test]
 fn resume_against_a_different_bank_is_refused() {
-    let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
     let pre = pre_cfg();
     let bank_a = tmp_dir("mismatch_a");
     write_bank(&bank_a, &bank_cfg(2, 2)).unwrap();

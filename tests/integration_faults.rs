@@ -1,12 +1,12 @@
-//! Fault-injection integration: with a seeded [`octs_fault::FaultPlan`]
+//! Fault-injection integration: with a seeded [`octs_obs::fault::FaultPlan`]
 //! scheduling NaN-diverging and panicking candidates, every search and
 //! pre-training entry point must complete, quarantine exactly the faulted
 //! candidates, and keep its healthy results **byte-identical** to a run that
 //! never saw the faults.
 //!
-//! Each test body runs inside a [`octs_fault::FaultScope`] (empty plan for
-//! the clean reference runs) so fault activations from concurrent test
-//! threads serialize instead of cross-firing.
+//! A [`autocts::fault::FaultScope`] arms its plan on the test thread's run
+//! context only, so clean reference runs need no scope and concurrent tests
+//! never see each other's faults.
 
 use autocts::fault::{FaultPlan, FaultScope};
 use autocts::prelude::*;
@@ -45,10 +45,7 @@ fn seeded_faults_quarantine_without_changing_the_winner() {
         .map(|(_, ah)| ah.clone())
         .collect();
 
-    let reference = {
-        let _quiet = FaultScope::activate(FaultPlan::new());
-        autocts_plus_search_with_pool(&task, &space, &cfg, healthy_pool).unwrap()
-    };
+    let reference = autocts_plus_search_with_pool(&task, &space, &cfg, healthy_pool).unwrap();
     let faulted = {
         let _scope = FaultScope::activate(plan);
         autocts_plus_search_with_pool(&task, &space, &cfg, pool.clone()).unwrap()
@@ -113,7 +110,6 @@ fn journaled_pretraining_absorbs_faults_and_replays_them_from_the_journal() {
 
     // Resume with NO faults armed: quarantined labels come back from the
     // journal, so the result is still byte-identical.
-    let _quiet = FaultScope::activate(FaultPlan::new());
     let (resys, rereport) = AutoCts::resume(AutoCtsConfig::test(), tasks(), &cfg, &dir).unwrap();
     assert_eq!(report.epoch_losses, rereport.epoch_losses);
     assert_eq!(report.holdout_accuracy.to_bits(), rereport.holdout_accuracy.to_bits());
@@ -139,10 +135,7 @@ fn comparator_ranking_survives_compare_panics() {
     let victim = 2usize;
     let healthy_pool: Vec<ArchHyper> =
         pool.iter().enumerate().filter(|(i, _)| *i != victim).map(|(_, a)| a.clone()).collect();
-    let want = {
-        let _quiet = FaultScope::activate(FaultPlan::new());
-        round_robin_rank(&tahc, None, &healthy_pool).order
-    };
+    let want = round_robin_rank(&tahc, None, &healthy_pool).order;
     tahc.invalidate_caches();
 
     let _scope = FaultScope::activate(FaultPlan::new().compare_panic(victim as u64));

@@ -4,8 +4,9 @@
 //! plans must converge to the same state, and a torn journal tail truncated
 //! at arbitrary byte positions must recover exactly the complete-line prefix.
 //!
-//! Every run holds a [`fault::FaultScope`] (an empty plan for clean runs) so
-//! fault activations from concurrent test threads serialize.
+//! Each kill arms its fault plan on the test thread's run context only, so
+//! the clean runs need no scope and concurrent tests never see each other's
+//! faults.
 
 use autocts::comparator::PretrainReport;
 use autocts::prelude::*;
@@ -64,7 +65,6 @@ fn kill_at_every_journal_boundary_resumes_byte_identical() {
             let err = sys.pretrain_journaled(source_tasks(), &pre_cfg(), &dir).unwrap_err();
             assert!(matches!(err, CoreError::Io { op: "append", .. }), "append {k}: {err}");
         }
-        let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
         let (sys, report) =
             AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
         assert_eq!(ref_report.epoch_losses, report.epoch_losses, "killed at append {k}");
@@ -134,10 +134,8 @@ fn torn_tail_truncation_recovers_every_prefix() {
     // One complete run whose directory we keep: every truncation below is a
     // fresh copy of it with the journal chopped at a byte position.
     let complete = run_dir("torn_complete");
-    let (ref_sys, ref_report) = {
-        let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
-        AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &complete).unwrap()
-    };
+    let (ref_sys, ref_report) =
+        AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &complete).unwrap();
     let journal_text = std::fs::read_to_string(complete.join(JOURNAL_FILE)).unwrap();
     let (_, ref_records) = Journal::open(complete.join(JOURNAL_FILE)).unwrap();
 
@@ -170,7 +168,6 @@ fn torn_tail_truncation_recovers_every_prefix() {
         copy_dir(&complete, &dir);
         std::fs::write(dir.join(JOURNAL_FILE), &journal_text[..cut]).unwrap();
 
-        let _scope = fault::FaultScope::activate(fault::FaultPlan::new());
         let (sys, report) =
             AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir)
                 .unwrap_or_else(|e| panic!("resume from tear in line {i}: {e}"));

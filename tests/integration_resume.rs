@@ -4,9 +4,9 @@
 //! an uninterrupted run. Crashes are simulated with deterministic injected
 //! IO faults (and raw journal truncation for the torn-write case).
 //!
-//! Every test body runs inside a [`octs_fault::FaultScope`] (empty plan for
-//! the clean reference runs) so fault activations from concurrent test
-//! threads serialize instead of cross-firing.
+//! Each kill arms its fault plan on the test thread's run context only, so
+//! the clean runs need no scope and concurrent tests never see each other's
+//! faults.
 
 use autocts::prelude::*;
 use autocts::{fault, AutoCts, CoreError, JOURNAL_FILE};
@@ -38,7 +38,6 @@ fn params_of(sys: &AutoCts) -> String {
 /// One uninterrupted reference run in its own directory.
 fn reference(name: &str) -> (AutoCts, octs_comparator::PretrainReport) {
     let dir = run_dir(&format!("reference_{name}"));
-    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
     let (sys, report) =
         AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
@@ -64,7 +63,6 @@ fn killed_mid_labelling_resumes_byte_identical() {
 
     // A fresh process resumes the directory and must land exactly where the
     // uninterrupted run did.
-    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
     let (sys, report) =
         AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
     assert!(sys.is_pretrained());
@@ -96,7 +94,6 @@ fn killed_at_epoch_boundary_resumes_byte_identical() {
     }
     assert!(dir.join("epoch_0001.ckpt").exists());
 
-    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
     let (sys, report) =
         AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
     assert_eq!(ref_report.epoch_losses, report.epoch_losses);
@@ -121,7 +118,6 @@ fn torn_journal_tail_resumes_byte_identical() {
     let text = std::fs::read_to_string(&journal).unwrap();
     std::fs::write(&journal, &text[..text.len() - 9]).unwrap();
 
-    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
     let (sys, report) =
         AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
     assert_eq!(ref_report.epoch_losses, report.epoch_losses);
@@ -156,7 +152,6 @@ fn journal_with_dropped_record_fields_resumes_byte_identical() {
     assert_eq!(old_format.matches("\"quarantined\":false").count(), 3, "{old_format}");
     std::fs::write(&journal, old_format).unwrap();
 
-    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
     let (sys, report) =
         AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
     assert_eq!(ref_report.epoch_losses, report.epoch_losses);
@@ -171,7 +166,6 @@ fn journal_with_dropped_record_fields_resumes_byte_identical() {
 #[test]
 fn resuming_a_completed_run_is_idempotent() {
     let dir = run_dir("idempotent");
-    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
     let (first_sys, first) =
         AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
     let (again_sys, again) =
@@ -185,7 +179,6 @@ fn resuming_a_completed_run_is_idempotent() {
 #[test]
 fn changed_configuration_is_refused() {
     let dir = run_dir("mismatch");
-    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
     AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
 
     let other = PretrainConfig { seed: 999, ..pre_cfg() };
@@ -202,7 +195,6 @@ fn changed_task_list_is_refused() {
     // resuming with one task swapped must not replay them against the new
     // task's embedding.
     let dir = run_dir("tasks_mismatch");
-    let _quiet = fault::FaultScope::activate(fault::FaultPlan::new());
     AutoCts::resume(AutoCtsConfig::test(), source_tasks(), &pre_cfg(), &dir).unwrap();
 
     let mut tasks = source_tasks();
