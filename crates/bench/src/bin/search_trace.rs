@@ -4,7 +4,9 @@
 //! recorder on — and checks that (a) the winner is byte-identical, so
 //! tracing is purely observational, (b) the NDJSON trace parses and covers
 //! every required span/counter, and (c) tracing overhead on the hot ranking
-//! path stays under 5%, measured best-of-3 on `evolve_search` alone.
+//! path stays under 5%: the median traced/plain ratio over
+//! [`OVERHEAD_PAIRS`] back-to-back pairs of `evolve_search` runs, so a slow
+//! spell of the host inflates a few pairs, not the gate.
 //! Results land in `BENCH_search_trace.json`.
 //!
 //! ```sh
@@ -43,6 +45,10 @@ const REQUIRED_COUNTERS: &[&str] = &[
     "train.epochs",
 ];
 
+/// Plain/traced timing pairs behind the overhead gate. Odd, so the median
+/// is one pair's ratio; the same count in quick and full mode.
+const OVERHEAD_PAIRS: usize = 41;
+
 #[derive(Serialize)]
 struct PhaseRow {
     phase: String,
@@ -67,7 +73,10 @@ struct Report {
     probe_p95_us: f64,
     rank_plain_secs: f64,
     rank_traced_secs: f64,
+    overhead_pairs: usize,
     overhead_pct: f64,
+    overhead_q1_pct: f64,
+    overhead_q3_pct: f64,
     note: String,
 }
 
@@ -76,8 +85,9 @@ fn task() -> ForecastTask {
     ForecastTask::new(p.generate(0), ForecastSetting::multi(4, 2), 0.6, 0.2, 2)
 }
 
-fn best_of<F: FnMut() -> f64>(n: usize, mut f: F) -> f64 {
-    (0..n).map(|_| f()).fold(f64::INFINITY, f64::min)
+/// The value at quantile `q` of an ascending-sorted sample (nearest rank).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 fn main() {
@@ -167,7 +177,7 @@ fn main() {
         rate(task_hits, task_misses) * 100.0
     );
 
-    // --- 2. Overhead on the hot ranking path, best-of-3 -------------------
+    // --- 2. Overhead on the hot ranking path, paired ---------------------
     let big = JointSpace::scaled();
     let tahc = Tahc::new(
         TahcConfig { task_aware: false, ..TahcConfig::scaled() },
@@ -176,27 +186,33 @@ fn main() {
     );
     let ecfg = EvolveConfig { k_s, ..EvolveConfig::scaled() };
 
-    let rank_plain_secs = best_of(3, || {
-        tahc.invalidate_caches();
-        let t0 = Instant::now();
-        let top = evolve_search(&tahc, None, &big, &ecfg);
-        assert!(!top.is_empty());
-        t0.elapsed().as_secs_f64()
-    });
-    let rank_traced_secs = best_of(3, || {
+    let time_search = |traced: bool| {
         tahc.invalidate_caches();
         let r = octs_obs::Recorder::new();
-        let s = octs_obs::ObsScope::activate(&r);
+        let s = traced.then(|| octs_obs::ObsScope::activate(&r));
         let t0 = Instant::now();
         let top = evolve_search(&tahc, None, &big, &ecfg);
         let secs = t0.elapsed().as_secs_f64();
         drop(s);
         assert!(!top.is_empty());
         secs
-    });
-    let overhead_pct = (rank_traced_secs / rank_plain_secs - 1.0) * 100.0;
+    };
+    let (mut plain, mut traced, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..OVERHEAD_PAIRS {
+        plain.push(time_search(false));
+        traced.push(time_search(true));
+        ratios.push(traced.last().unwrap() / plain.last().unwrap());
+    }
+    for v in [&mut plain, &mut traced, &mut ratios] {
+        v.sort_by(f64::total_cmp);
+    }
+    let pct = |q: f64| (quantile(&ratios, q) - 1.0) * 100.0;
+    let (overhead_q1_pct, overhead_pct, overhead_q3_pct) = (pct(0.25), pct(0.5), pct(0.75));
+    let (rank_plain_secs, rank_traced_secs) = (quantile(&plain, 0.5), quantile(&traced, 0.5));
     eprintln!(
-        "[overhead] plain {rank_plain_secs:.3}s traced {rank_traced_secs:.3}s => {overhead_pct:+.2}%"
+        "[overhead] {OVERHEAD_PAIRS} pairs: median plain {rank_plain_secs:.3}s traced \
+         {rank_traced_secs:.3}s; paired overhead median {overhead_pct:+.2}% \
+         (q1 {overhead_q1_pct:+.2}%, q3 {overhead_q3_pct:+.2}%)"
     );
 
     let report = Report {
@@ -215,8 +231,12 @@ fn main() {
         probe_p95_us,
         rank_plain_secs,
         rank_traced_secs,
+        overhead_pairs: OVERHEAD_PAIRS,
         overhead_pct,
-        note: "overhead measured best-of-3 on evolve_search (the hot ranking path); \
+        overhead_q1_pct,
+        overhead_q3_pct,
+        note: "overhead is the median of per-pair traced/plain ratios over back-to-back \
+               evolve_search runs (the hot ranking path), q1/q3 beside it; \
                full-search trace validated for phase coverage and winner determinism; \
                task cache measured on a task-aware ranking (the full per-task search \
                is task-unaware by configuration, so its own counters stay zero)"
@@ -236,7 +256,7 @@ fn main() {
     assert!(missing_counters.is_empty(), "trace missing required counters: {missing_counters:?}");
     assert!(
         overhead_pct <= 5.0,
-        "tracing overhead {overhead_pct:.2}% exceeds the 5% budget \
-         ({rank_plain_secs:.3}s -> {rank_traced_secs:.3}s)"
+        "tracing overhead {overhead_pct:.2}% (paired median; q1 {overhead_q1_pct:.2}%, \
+         q3 {overhead_q3_pct:.2}%) exceeds the 5% budget"
     );
 }

@@ -22,6 +22,11 @@
 //!   pretrained.ckpt            the final pre-trained system, see AutoCts::load_artifact
 //! ```
 //!
+//! Every file but the journal is an envelope committed through
+//! [`persist::AtomicFile::commit`] at its own fault site: `run.encoder` (op
+//! 0), `run.shard_labels` (op = shard), `run.epoch` (op = epoch) and, for
+//! the artifact, [`AutoCts::save`]'s `checkpoint.save` (op 0).
+//!
 //! Determinism contract:
 //! - shard `s` is owned by worker `s % workers`, but every label is a pure
 //!   function of `(task, task_idx, space, cfg)` — per-task RNG substreams, a
@@ -36,15 +41,14 @@
 //!   in-memory task), *not* `workers`/`prefetch` — those are execution
 //!   geometry, free to change across resumes.
 
-use crate::error::CoreError;
 use crate::facade::AutoCts;
 use crate::journal::{Journal, Record};
-use crate::persist;
+use crate::persist::{self, CoreError};
 use octs_comparator::{
     label_task, shared_pool, LabeledAh, LabeledBank, PretrainConfig, PretrainReport, TahcTrainer,
     TahcTrainerState, TaskEmbedder, TaskSamples,
 };
-use octs_data::{BankManifest, BankStream, ForecastTask, ShardError};
+use octs_data::{BankManifest, BankStream, ForecastTask};
 use octs_obs::RunCtx;
 use octs_space::ArchHyper;
 use octs_tensor::{ParamStore, Tensor};
@@ -118,18 +122,6 @@ impl SampleRec {
     }
 }
 
-/// Lifts a bank/shard error into the core error vocabulary, preserving the
-/// torn-frame location (record index + byte offset) in the detail.
-fn lift(e: ShardError) -> CoreError {
-    match e {
-        ShardError::Io { path, op, source } => CoreError::Io { path, op, source },
-        ShardError::Torn { path, record, offset, detail } => CoreError::Corrupt {
-            path,
-            detail: format!("record {record} at byte offset {offset}: {detail}"),
-        },
-    }
-}
-
 fn sidecar_name(shard: usize) -> String {
     format!("shard_labels_{shard:05}.ckpt")
 }
@@ -188,8 +180,7 @@ impl TaskSource<'_> {
             Self::Bank { dir, manifest } => {
                 streamed = BankStream::open(dir, manifest, &[0], prefetch)
                     .map(|r| r.map(|(_, t)| t))
-                    .collect::<Result<_, _>>()
-                    .map_err(lift)?;
+                    .collect::<Result<_, _>>()?;
                 &streamed[..]
             }
             Self::Memory(tasks) => tasks,
@@ -211,7 +202,7 @@ impl TaskSource<'_> {
         match self {
             Self::Bank { dir, manifest } => {
                 for item in BankStream::open(dir, manifest, &[s], prefetch) {
-                    let (ti, task) = item.map_err(lift)?;
+                    let (ti, task) = item?;
                     f(ti, &task);
                 }
             }
@@ -237,7 +228,7 @@ impl AutoCts {
         opts: &BankRunOptions,
     ) -> Result<PretrainReport, CoreError> {
         let dir = bank_dir.as_ref();
-        let manifest = BankManifest::load(dir).map_err(lift)?;
+        let manifest = BankManifest::load(dir)?;
         self.pretrain_from(&TaskSource::Bank { dir, manifest }, cfg, run_dir.as_ref(), opts)
     }
 
@@ -338,18 +329,13 @@ impl AutoCts {
         let obs_encoder = octs_obs::span("phase.encoder");
         let encoder_ckpt = run_dir.join("encoder.ckpt");
         if records.iter().any(|r| r.kind == "encoder") {
-            let payload = persist::read_envelope(&encoder_ckpt, BANKRUN_VERSION)?;
-            let ps: ParamStore = serde_json::from_str(&payload).map_err(|e| {
-                CoreError::corrupt(&encoder_ckpt, format!("unparseable encoder params: {e}"))
-            })?;
+            let ps: ParamStore = persist::load_json(&encoder_ckpt, BANKRUN_VERSION)?;
             self.embedder.encoder_mut().ps = ps;
             self.embedder.encoder_mut().mark_trained();
         } else {
             source.train_encoder(&mut self.embedder, opts.prefetch)?;
-            let json = serde_json::to_string(&self.embedder.encoder().ps).map_err(|e| {
-                CoreError::corrupt(&encoder_ckpt, format!("encoder serialization: {e}"))
-            })?;
-            persist::write_envelope(&encoder_ckpt, BANKRUN_VERSION, &json)?;
+            let ps = &self.embedder.encoder().ps;
+            persist::save_json(&encoder_ckpt, BANKRUN_VERSION, ps, "run.encoder", 0)?;
             let mut rec = Record::of_kind("encoder");
             rec.detail = "encoder.ckpt".to_string();
             journal.append(&rec)?;
@@ -406,15 +392,13 @@ impl AutoCts {
                                         labels.samples.push(SampleRec::of(&samples));
                                     })
                                     .and_then(|()| {
-                                        serde_json::to_string(&labels).map_err(|e| {
-                                            CoreError::corrupt(
-                                                &path,
-                                                format!("shard labels serialization: {e}"),
-                                            )
-                                        })
-                                    })
-                                    .and_then(|json| {
-                                        persist::write_envelope(&path, BANKRUN_VERSION, &json)
+                                        persist::save_json(
+                                            &path,
+                                            BANKRUN_VERSION,
+                                            &labels,
+                                            "run.shard_labels",
+                                            s as u64,
+                                        )
                                     })
                                     .and_then(|()| {
                                         let mut rec = Record::of_kind("shard");
@@ -446,9 +430,7 @@ impl AutoCts {
         for s in 0..n_shards {
             let (start, len) = source.shard(s);
             let path = run_dir.join(sidecar_name(s));
-            let payload = persist::read_envelope(&path, BANKRUN_VERSION)?;
-            let labels: ShardLabels = serde_json::from_str(&payload)
-                .map_err(|e| CoreError::corrupt(&path, format!("unparseable shard labels: {e}")))?;
+            let labels: ShardLabels = persist::load_json(&path, BANKRUN_VERSION)?;
             if labels.shard != s as u64
                 || labels.start != start
                 || labels.prelims.len() != len
@@ -477,23 +459,19 @@ impl AutoCts {
         let done_epochs = records.iter().filter(|r| r.kind == "epoch").count();
         let mut trainer = if done_epochs > 0 {
             let ckpt = run_dir.join(format!("epoch_{done_epochs:04}.ckpt"));
-            let payload = persist::read_envelope(&ckpt, BANKRUN_VERSION)?;
-            let state: TahcTrainerState = serde_json::from_str(&payload).map_err(|e| {
-                CoreError::corrupt(&ckpt, format!("unparseable trainer state: {e}"))
-            })?;
+            let state: TahcTrainerState = persist::load_json(&ckpt, BANKRUN_VERSION)?;
             TahcTrainer::from_state(state, &mut self.tahc)
         } else {
             TahcTrainer::new(cfg)
         };
         while !trainer.is_done(cfg) {
             trainer.run_epoch(&mut self.tahc, &bank, cfg);
-            let ckpt_name = format!("epoch_{:04}.ckpt", trainer.epoch());
-            let json = serde_json::to_string(&trainer.export_state(&self.tahc)).map_err(|e| {
-                CoreError::corrupt(run_dir.join(&ckpt_name), format!("state serialization: {e}"))
-            })?;
-            persist::write_envelope(&run_dir.join(&ckpt_name), BANKRUN_VERSION, &json)?;
+            let epoch = trainer.epoch() as u64;
+            let ckpt_name = format!("epoch_{epoch:04}.ckpt");
+            let (path, state) = (run_dir.join(&ckpt_name), trainer.export_state(&self.tahc));
+            persist::save_json(&path, BANKRUN_VERSION, &state, "run.epoch", epoch)?;
             let mut rec = Record::of_kind("epoch");
-            rec.epoch = trainer.epoch() as u64;
+            rec.epoch = epoch;
             rec.detail = ckpt_name;
             journal.append(&rec)?;
             octs_obs::event("pipeline.checkpoint", trainer.epoch() as f64, &rec.detail);

@@ -2,14 +2,13 @@
 //! expensive pre-training (Algorithm 1) runs once and zero-shot searches
 //! reuse it across processes — the deployment mode the paper targets.
 //!
-//! Checkpoints are written atomically (temp sibling + rename) inside a
-//! versioned, checksummed [`crate::persist`] envelope: a reader never sees a
-//! torn file, and a corrupt or truncated checkpoint is rejected with a
-//! descriptive [`CoreError`] instead of deserializing garbage weights.
+//! Checkpoints are versioned, checksummed [`crate::persist`] envelopes
+//! written atomically: a reader never sees a torn file, and a corrupt or
+//! truncated checkpoint is rejected with a descriptive [`CoreError`] instead
+//! of deserializing garbage weights.
 
-use crate::error::CoreError;
 use crate::facade::{AutoCts, AutoCtsConfig};
-use crate::persist;
+use crate::persist::{self, CoreError};
 use octs_tensor::ParamStore;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -32,30 +31,23 @@ pub struct Checkpoint {
 }
 
 impl AutoCts {
-    /// Atomically serializes the system to a checksummed envelope at `path`.
-    /// A crash mid-save leaves the previous checkpoint (or nothing) — never
-    /// a torn file.
+    /// Atomically serializes the system to a checksummed envelope at `path`
+    /// (fault site `("checkpoint.save", 0)`). A crash mid-save leaves the
+    /// previous checkpoint (or nothing) — never a torn file.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CoreError> {
-        let path = path.as_ref();
         let ckpt = Checkpoint {
             cfg: self.cfg.clone(),
             tahc_params: self.tahc.ps.snapshot(),
             encoder_params: self.embedder.encoder().ps.snapshot(),
             pretrained: self.is_pretrained(),
         };
-        let json = serde_json::to_string(&ckpt)
-            .map_err(|e| CoreError::corrupt(path, format!("checkpoint serialization: {e}")))?;
-        persist::write_envelope(path, CHECKPOINT_VERSION, &json)
+        persist::save_json(path.as_ref(), CHECKPOINT_VERSION, &ckpt, "checkpoint.save", 0)
     }
 
     /// Restores a system from a checkpoint, validating the envelope's magic,
     /// schema version, length and checksum before touching the payload.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CoreError> {
-        let path = path.as_ref();
-        let json = persist::read_envelope(path, CHECKPOINT_VERSION)?;
-        let ckpt: Checkpoint = serde_json::from_str(&json).map_err(|e| {
-            CoreError::corrupt(path, format!("unparseable checkpoint payload: {e}"))
-        })?;
+        let ckpt: Checkpoint = persist::load_json(path.as_ref(), CHECKPOINT_VERSION)?;
         let mut sys = AutoCts::new(ckpt.cfg);
         sys.tahc.ps = ckpt.tahc_params;
         // The store was swapped out from under the comparator: any memoized

@@ -6,7 +6,7 @@
 //! while an invalid line anywhere earlier is reported as corruption — that
 //! can only happen through external damage, never through a crash.
 
-use crate::error::CoreError;
+use crate::persist::{self, CoreError};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -49,11 +49,13 @@ impl Journal {
     /// Opens (or creates) the journal at `path`, returning the handle and
     /// every valid record already present. A torn trailing line is dropped
     /// and truncated; an invalid interior line is a [`CoreError::Corrupt`].
+    /// Creating the journal fsyncs its directory, so the new name is as
+    /// durable as the appends that follow.
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, Vec<Record>), CoreError> {
         let path = path.as_ref().to_path_buf();
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        let (text, created) = match std::fs::read_to_string(&path) {
+            Ok(t) => (t, false),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (String::new(), true),
             Err(e) => return Err(CoreError::io(&path, "read", e)),
         };
         let mut records = Vec::new();
@@ -93,6 +95,9 @@ impl Journal {
             .append(true)
             .open(&path)
             .map_err(|e| CoreError::io(&path, "open", e))?;
+        if created {
+            persist::sync_parent(&path)?;
+        }
         let seq = records.len() as u64;
         Ok((Self { path, file, seq }, records))
     }
@@ -106,7 +111,7 @@ impl Journal {
         let t0 = std::time::Instant::now();
         let json = serde_json::to_string(rec)
             .map_err(|e| CoreError::corrupt(&self.path, format!("record serialization: {e}")))?;
-        let line = format!("{:016x} {json}\n", crate::persist::fnv64(json.as_bytes()));
+        let line = format!("{:016x} {json}\n", persist::fnv64(json.as_bytes()));
         self.file
             .write_all(line.as_bytes())
             .and_then(|_| self.file.flush())
@@ -136,7 +141,7 @@ fn parse_line(line: &str) -> Option<Record> {
     let line = line.strip_suffix('\n')?; // no trailing newline = torn tail
     let (sum, json) = line.split_once(' ')?;
     let want = u64::from_str_radix(sum, 16).ok()?;
-    if crate::persist::fnv64(json.as_bytes()) != want {
+    if persist::fnv64(json.as_bytes()) != want {
         return None;
     }
     serde_json::from_str(json).ok()

@@ -39,16 +39,18 @@
 
 pub mod bankrun;
 pub mod checkpoint;
-pub mod error;
 pub mod facade;
 pub mod journal;
-pub mod persist;
 
 pub use bankrun::{BankRunOptions, ARTIFACT_FILE, BANKRUN_VERSION, JOURNAL_FILE};
 pub use checkpoint::{Checkpoint, CHECKPOINT_VERSION};
-pub use error::CoreError;
 pub use facade::{AutoCts, AutoCtsConfig};
 pub use journal::{Journal, Record};
+
+// The durable-write module (atomic write, envelope codec, `fnv64`) and its
+// error type live in the leaf data crate, next to the shards and manifests.
+pub use octs_data::persist;
+pub use octs_data::persist::CoreError;
 
 // The deterministic fault-injection harness, re-exported so integration
 // tests and benches reach it through the facade.
@@ -67,8 +69,8 @@ pub use octs_space::{render, render_dot, ArchHyper, JointSpace};
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use crate::error::CoreError;
     pub use crate::facade::{AutoCts, AutoCtsConfig};
+    pub use crate::CoreError;
     pub use octs_comparator::{PretrainConfig, TahcConfig};
     pub use octs_data::{
         enrich_tasks, source_profiles, target_profiles, DatasetProfile, Domain, EnrichConfig,

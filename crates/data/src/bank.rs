@@ -6,11 +6,14 @@
 //! Layout of a bank directory:
 //! ```text
 //! bank_dir/
-//!   manifest.json      checksummed header + shard table (atomic write)
+//!   manifest.json      envelope holding the shard table
 //!   shard_00000.octs   record-framed shard, one JSON ForecastTask per record
 //!   shard_00001.octs
 //!   ...
 //! ```
+//! Both kinds are committed through [`persist::AtomicFile`]: shards at fault
+//! site `bank.shard` (op = shard index), the manifest at `bank.manifest`
+//! (op 0), last, so a bank with a manifest is complete.
 //!
 //! Two memory disciplines make banks scale past RAM:
 //! - **generation** materializes one task at a time ([`BankConfig::task`]
@@ -22,14 +25,14 @@
 //!   size.
 
 use crate::enrich::{derive_subset, EnrichConfig};
-use crate::io::{fnv64, ShardError, ShardReader, ShardWriter};
+use crate::io::{ShardReader, ShardWriter};
+use crate::persist::{self, fnv64, CoreError};
 use crate::synth::DatasetProfile;
 use crate::task::ForecastTask;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 
@@ -144,93 +147,20 @@ pub struct BankManifest {
     pub shards: Vec<ShardInfo>,
 }
 
-/// Writes the manifest with the `core/persist` envelope conventions (header
-/// line with magic/version/checksum/len, temp sibling + atomic rename).
-fn write_manifest(dir: &Path, manifest: &BankManifest) -> Result<(), ShardError> {
-    let path = dir.join(MANIFEST_FILE);
-    let payload = serde_json::to_string(manifest).map_err(|e| ShardError::Torn {
-        path: path.clone(),
-        record: 0,
-        offset: 0,
-        detail: format!("manifest serialization: {e}"),
-    })?;
-    let header = format!(
-        "{{\"magic\":\"OCTS\",\"version\":{BANK_VERSION},\"checksum\":\"{:016x}\",\"len\":{}}}",
-        fnv64(payload.as_bytes()),
-        payload.len()
-    );
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| ShardError::Io {
-            path: tmp.clone(),
-            op: "create",
-            source: e,
-        })?;
-        f.write_all(header.as_bytes())
-            .and_then(|_| f.write_all(b"\n"))
-            .and_then(|_| f.write_all(payload.as_bytes()))
-            .and_then(|_| f.write_all(b"\n"))
-            .and_then(|_| f.sync_all())
-            .map_err(|e| ShardError::Io { path: tmp.clone(), op: "write", source: e })?;
-    }
-    std::fs::rename(&tmp, &path).map_err(|e| ShardError::Io {
-        path: path.clone(),
-        op: "rename",
-        source: e,
-    })
+/// Writes the manifest as a [`persist`] envelope at fault site
+/// `("bank.manifest", 0)`.
+fn write_manifest(dir: &Path, manifest: &BankManifest) -> Result<(), CoreError> {
+    persist::save_json(&dir.join(MANIFEST_FILE), BANK_VERSION, manifest, "bank.manifest", 0)
 }
 
 impl BankManifest {
-    /// Loads and validates a bank's manifest (magic, version, length,
-    /// checksum, then the shard table's structure — every mismatch is a
-    /// typed, located error).
-    pub fn load(dir: impl AsRef<Path>) -> Result<Self, ShardError> {
+    /// Loads and validates a bank's manifest (the envelope's magic, version,
+    /// length and checksum, then the shard table's structure — every
+    /// mismatch is a typed, located error).
+    pub fn load(dir: impl AsRef<Path>) -> Result<Self, CoreError> {
         let path = dir.as_ref().join(MANIFEST_FILE);
-        let text = std::fs::read_to_string(&path).map_err(|e| ShardError::Io {
-            path: path.clone(),
-            op: "read",
-            source: e,
-        })?;
-        let torn =
-            |detail: String| ShardError::Torn { path: path.clone(), record: 0, offset: 0, detail };
-        let Some((header, rest)) = text.split_once('\n') else {
-            return Err(torn("no header line (file truncated?)".into()));
-        };
-        #[derive(Deserialize)]
-        struct Header {
-            magic: String,
-            version: u32,
-            checksum: String,
-            len: u64,
-        }
-        let h: Header =
-            serde_json::from_str(header).map_err(|e| torn(format!("unparseable header: {e}")))?;
-        if h.magic != "OCTS" {
-            return Err(torn(format!("bad magic {:?}", h.magic)));
-        }
-        if h.version != BANK_VERSION {
-            return Err(torn(format!(
-                "manifest version {} != supported {BANK_VERSION}",
-                h.version
-            )));
-        }
-        let payload = rest.strip_suffix('\n').unwrap_or(rest);
-        if payload.len() as u64 != h.len {
-            return Err(torn(format!(
-                "payload is {} bytes, header promises {} (torn write?)",
-                payload.len(),
-                h.len
-            )));
-        }
-        let sum = format!("{:016x}", fnv64(payload.as_bytes()));
-        if sum != h.checksum {
-            return Err(torn(format!("checksum {sum} != header {} (bit rot?)", h.checksum)));
-        }
-        let manifest: Self = serde_json::from_str(payload)
-            .map_err(|e| torn(format!("unparseable manifest: {e}")))?;
-        manifest.check_structure().map_err(torn)?;
+        let manifest: Self = persist::load_json(&path, BANK_VERSION)?;
+        manifest.check_structure().map_err(|detail| CoreError::corrupt(&path, detail))?;
         Ok(manifest)
     }
 
@@ -261,14 +191,10 @@ impl BankManifest {
 /// Generates and writes the whole bank: one shard at a time, one task at a
 /// time, each task serialized as a JSON record with an fnv64 frame checksum.
 /// Returns the manifest (also persisted as `manifest.json`).
-pub fn write_bank(dir: impl AsRef<Path>, cfg: &BankConfig) -> Result<BankManifest, ShardError> {
+pub fn write_bank(dir: impl AsRef<Path>, cfg: &BankConfig) -> Result<BankManifest, CoreError> {
     let dir = dir.as_ref();
     assert!(cfg.n_tasks > 0, "bank needs at least one task");
-    std::fs::create_dir_all(dir).map_err(|e| ShardError::Io {
-        path: dir.to_path_buf(),
-        op: "create_dir",
-        source: e,
-    })?;
+    std::fs::create_dir_all(dir).map_err(|e| CoreError::io(dir, "create_dir", e))?;
     let mut shards = Vec::with_capacity(cfg.n_shards());
     for shard in 0..cfg.n_shards() {
         let start = shard * cfg.shard_tasks;
@@ -278,16 +204,13 @@ pub fn write_bank(dir: impl AsRef<Path>, cfg: &BankConfig) -> Result<BankManifes
         let mut record_sums: Vec<u8> = Vec::with_capacity(tasks * 8);
         for i in start..start + tasks {
             let task = cfg.task(i);
-            let payload = serde_json::to_string(&task).map_err(|e| ShardError::Torn {
-                path: dir.join(&file),
-                record: i - start,
-                offset: 0,
-                detail: format!("task serialization: {e}"),
+            let payload = serde_json::to_string(&task).map_err(|e| {
+                CoreError::corrupt(dir.join(&file), format!("task {i} serialization: {e}"))
             })?;
             record_sums.extend_from_slice(&fnv64(payload.as_bytes()).to_le_bytes());
             writer.append(payload.as_bytes())?;
         }
-        writer.finish()?;
+        writer.finish("bank.shard", shard as u64)?;
         shards.push(ShardInfo {
             file,
             start,
@@ -315,7 +238,7 @@ pub fn write_bank(dir: impl AsRef<Path>, cfg: &BankConfig) -> Result<BankManifes
 /// than `prefetch + 1` tasks alive. Dropping the stream early shuts the
 /// reader down cleanly.
 pub struct BankStream {
-    rx: Option<mpsc::Receiver<Result<(usize, ForecastTask), ShardError>>>,
+    rx: Option<mpsc::Receiver<Result<(usize, ForecastTask), CoreError>>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -357,20 +280,15 @@ impl BankStream {
                                         .map_err(|e| format!("unparseable task record: {e}"))
                                 }) {
                                 Ok(task) => Ok((start + i, task)),
-                                Err(detail) => Err(ShardError::Torn {
-                                    path: path.clone(),
-                                    record: i,
-                                    offset: 0,
-                                    detail,
-                                }),
+                                Err(detail) => Err(CoreError::torn(&path, i, 0, detail)),
                             }
                         }
-                        Ok(None) => Err(ShardError::Torn {
-                            path: path.clone(),
-                            record: i,
-                            offset: 0,
-                            detail: format!("shard ended early: manifest promises {tasks} tasks"),
-                        }),
+                        Ok(None) => Err(CoreError::torn(
+                            &path,
+                            i,
+                            0,
+                            format!("shard ended early: manifest promises {tasks} tasks"),
+                        )),
                         Err(e) => Err(e),
                     };
                     let failed = outcome.is_err();
@@ -388,7 +306,7 @@ impl BankStream {
 }
 
 impl Iterator for BankStream {
-    type Item = Result<(usize, ForecastTask), ShardError>;
+    type Item = Result<(usize, ForecastTask), CoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.rx.as_ref()?.recv().ok()
@@ -491,7 +409,7 @@ mod tests {
         std::fs::write(&shard_path, &bytes).unwrap();
         let mut stream = BankStream::open(&dir, &manifest, &[0], 2);
         match stream.next() {
-            Some(Err(ShardError::Torn { record, .. })) => assert_eq!(record, 0),
+            Some(Err(CoreError::Torn { record, .. })) => assert_eq!(record, 0),
             other => panic!("want Torn, got {other:?}"),
         }
         assert!(stream.next().is_none(), "stream stops after a torn record");
@@ -501,7 +419,7 @@ mod tests {
         let mpath = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&mpath).unwrap();
         std::fs::write(&mpath, &text[..text.len() - 9]).unwrap();
-        assert!(matches!(BankManifest::load(&dir), Err(ShardError::Torn { .. })));
+        assert!(matches!(BankManifest::load(&dir), Err(CoreError::Corrupt { .. })));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -512,8 +430,8 @@ mod tests {
         mutate(&mut manifest);
         write_manifest(dir, &manifest).unwrap();
         match BankManifest::load(dir) {
-            Err(ShardError::Torn { detail, .. }) => detail,
-            other => panic!("want Torn, got {other:?}"),
+            Err(CoreError::Corrupt { detail, .. }) => detail,
+            other => panic!("want Corrupt, got {other:?}"),
         }
     }
 

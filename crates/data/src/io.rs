@@ -7,7 +7,7 @@
 //! supplied separately as an `N×N` CSV of weights, or learned downstream via
 //! the models' adaptive adjacency.
 //!
-//! Shard format (reuses the `core/persist` envelope + fnv64 checksum
+//! Shard format (the [`crate::persist`] header-line and fnv64 checksum
 //! conventions, one line per record so readers stream without ever holding a
 //! whole shard):
 //! ```text
@@ -15,12 +15,13 @@
 //! <fnv64 hex> <len> <payload>
 //! ...            (N record lines)
 //! ```
-//! Shards are published atomically (temp sibling + rename), so a torn or
+//! Shards are published by [`AtomicFile::commit`], so a torn or
 //! checksum-failing shard can only arise through external damage — it is
-//! surfaced as a typed [`ShardError::Torn`] naming the path, record index
+//! surfaced as a typed [`CoreError::Torn`] naming the path, record index
 //! and byte offset, never silently skipped.
 
 use crate::cts::{Adjacency, CtsData};
+use crate::persist::{fnv64, AtomicFile, CoreError};
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -147,87 +148,13 @@ pub fn with_adjacency(mut data: CtsData, adjacency: Adjacency) -> CtsData {
 // Record-framed shards
 // ---------------------------------------------------------------------------
 
-/// Magic string of shard headers — distinguishes shards from `core/persist`
-/// envelopes (`"OCTS"`) while keeping the same header-line discipline.
+/// Magic string of shard headers — distinguishes shards from
+/// [`crate::persist`] envelopes (`"OCTS"`) while keeping the same
+/// header-line discipline.
 pub const SHARD_MAGIC: &str = "OCTS-SHARD";
 
 /// Schema version of the shard format this build reads and writes.
 pub const SHARD_VERSION: u32 = 1;
-
-/// FNV-1a 64-bit hash: tiny, dependency-free, and plenty for detecting torn
-/// or bit-rotted payloads (not a cryptographic signature). The workspace's
-/// one checksum: shard frames, bank manifests, and (re-exported as
-/// `autocts::persist::fnv64`) the checkpoint envelopes and progress journal.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// What went wrong while writing or streaming a shard.
-#[derive(Debug)]
-pub enum ShardError {
-    /// An OS-level IO failure.
-    Io {
-        /// The shard file involved.
-        path: PathBuf,
-        /// The operation that failed (`"open"`, `"read"`, `"rename"`, …).
-        op: &'static str,
-        /// The underlying error.
-        source: io::Error,
-    },
-    /// The shard's bytes are not what the format promises — truncation, a
-    /// failed checksum, a malformed header or record frame. The location is
-    /// pinned down to the record and byte offset where validation failed.
-    Torn {
-        /// The shard file involved.
-        path: PathBuf,
-        /// Zero-based index of the record being read (0 also covers header
-        /// failures; `detail` disambiguates).
-        record: usize,
-        /// Byte offset of the failing line's start within the file.
-        offset: u64,
-        /// What exactly failed to validate.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for ShardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardError::Io { path, op, source } => {
-                write!(f, "{op} failed for {}: {source}", path.display())
-            }
-            ShardError::Torn { path, record, offset, detail } => write!(
-                f,
-                "{} is torn at record {record} (byte offset {offset}): {detail}",
-                path.display()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ShardError::Io { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-impl ShardError {
-    fn io(path: &Path, op: &'static str, source: io::Error) -> Self {
-        ShardError::Io { path: path.to_path_buf(), op, source }
-    }
-
-    fn torn(path: &Path, record: usize, offset: u64, detail: impl Into<String>) -> Self {
-        ShardError::Torn { path: path.to_path_buf(), record, offset, detail: detail.into() }
-    }
-}
 
 /// First line of every shard file.
 #[derive(Serialize, Deserialize)]
@@ -239,13 +166,11 @@ struct ShardHeader {
 }
 
 /// Writes one shard: header first, then exactly the promised number of
-/// checksummed record lines, finished with an fsync + atomic rename. A crash
+/// checksummed record lines, published by [`AtomicFile::commit`]. A crash
 /// mid-write leaves only the `.tmp` sibling — readers never observe a
 /// half-written shard under the real name.
 pub struct ShardWriter {
-    path: PathBuf,
-    tmp: PathBuf,
-    file: std::io::BufWriter<std::fs::File>,
+    file: AtomicFile,
     promised: u64,
     written: u64,
 }
@@ -253,11 +178,8 @@ pub struct ShardWriter {
 impl ShardWriter {
     /// Creates a shard that will hold exactly `records` record lines of the
     /// given `kind`.
-    pub fn create(path: impl AsRef<Path>, kind: &str, records: u64) -> Result<Self, ShardError> {
-        let path = path.as_ref().to_path_buf();
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
+    pub fn create(path: impl AsRef<Path>, kind: &str, records: u64) -> Result<Self, CoreError> {
+        let path = path.as_ref();
         let header = ShardHeader {
             magic: SHARD_MAGIC.to_string(),
             version: SHARD_VERSION,
@@ -265,19 +187,17 @@ impl ShardWriter {
             records,
         };
         let header_json = serde_json::to_string(&header)
-            .map_err(|e| ShardError::torn(&path, 0, 0, format!("header serialization: {e}")))?;
-        let file = std::fs::File::create(&tmp).map_err(|e| ShardError::io(&tmp, "create", e))?;
-        let mut file = std::io::BufWriter::new(file);
-        file.write_all(header_json.as_bytes())
-            .and_then(|_| file.write_all(b"\n"))
-            .map_err(|e| ShardError::io(&tmp, "write", e))?;
-        Ok(Self { path, tmp, file, promised: records, written: 0 })
+            .map_err(|e| CoreError::torn(path, 0, 0, format!("header serialization: {e}")))?;
+        let mut file = AtomicFile::create(path)?;
+        file.write_all(header_json.as_bytes())?;
+        file.write_all(b"\n")?;
+        Ok(Self { file, promised: records, written: 0 })
     }
 
     /// Appends one record payload. Payloads are line-framed, so they must not
     /// contain raw newlines (JSON payloads never do — serializers escape
     /// them).
-    pub fn append(&mut self, payload: &[u8]) -> Result<(), ShardError> {
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), CoreError> {
         assert!(
             !payload.contains(&b'\n'),
             "shard records are line-framed; payload must not contain raw newlines"
@@ -285,41 +205,37 @@ impl ShardWriter {
         assert!(
             self.written < self.promised,
             "shard {} promised {} records",
-            self.path.display(),
+            self.file.path().display(),
             self.promised
         );
-        let line = format!("{:016x} {} ", fnv64(payload), payload.len());
-        self.file
-            .write_all(line.as_bytes())
-            .and_then(|_| self.file.write_all(payload))
-            .and_then(|_| self.file.write_all(b"\n"))
-            .map_err(|e| ShardError::io(&self.tmp, "write", e))?;
+        let frame = format!("{:016x} {} ", fnv64(payload), payload.len());
+        self.file.write_all(frame.as_bytes())?;
+        self.file.write_all(payload)?;
+        self.file.write_all(b"\n")?;
         self.written += 1;
         Ok(())
     }
 
-    /// Flushes, fsyncs and atomically publishes the shard under its real
-    /// name. Panics if fewer records than promised were appended — that is a
-    /// caller bug, not an IO condition.
-    pub fn finish(mut self) -> Result<(), ShardError> {
+    /// Publishes the shard under its real name, committing at fault site
+    /// `(site, op)`. Panics if fewer records than promised were appended —
+    /// that is a caller bug, not an IO condition.
+    pub fn finish(self, site: &str, op: u64) -> Result<(), CoreError> {
         assert_eq!(
             self.written,
             self.promised,
             "shard {} promised {} records, got {}",
-            self.path.display(),
+            self.file.path().display(),
             self.promised,
             self.written
         );
-        self.file.flush().map_err(|e| ShardError::io(&self.tmp, "flush", e))?;
-        self.file.get_ref().sync_all().map_err(|e| ShardError::io(&self.tmp, "sync", e))?;
-        std::fs::rename(&self.tmp, &self.path).map_err(|e| ShardError::io(&self.path, "rename", e))
+        self.file.commit(site, op)
     }
 }
 
 /// Streams one shard record-by-record through a [`BufReader`] — peak memory
 /// is one record line, never the whole shard. Every frame is validated
 /// (length, checksum, record count) and any mismatch is a typed
-/// [`ShardError::Torn`] carrying the record index and byte offset.
+/// [`CoreError::Torn`] carrying the record index and byte offset.
 #[derive(Debug)]
 pub struct ShardReader {
     path: PathBuf,
@@ -332,22 +248,22 @@ pub struct ShardReader {
 
 impl ShardReader {
     /// Opens a shard, validating its header (magic, version, kind).
-    pub fn open(path: impl AsRef<Path>, kind: &str) -> Result<Self, ShardError> {
+    pub fn open(path: impl AsRef<Path>, kind: &str) -> Result<Self, CoreError> {
         let path = path.as_ref().to_path_buf();
-        let file = std::fs::File::open(&path).map_err(|e| ShardError::io(&path, "open", e))?;
+        let file = std::fs::File::open(&path).map_err(|e| CoreError::io(&path, "open", e))?;
         let mut reader = BufReader::new(file);
         let mut line = String::new();
-        reader.read_line(&mut line).map_err(|e| ShardError::io(&path, "read", e))?;
+        reader.read_line(&mut line).map_err(|e| CoreError::io(&path, "read", e))?;
         let Some(header_json) = line.strip_suffix('\n') else {
-            return Err(ShardError::torn(&path, 0, 0, "header line truncated"));
+            return Err(CoreError::torn(&path, 0, 0, "header line truncated"));
         };
         let header: ShardHeader = serde_json::from_str(header_json)
-            .map_err(|e| ShardError::torn(&path, 0, 0, format!("unparseable header: {e}")))?;
+            .map_err(|e| CoreError::torn(&path, 0, 0, format!("unparseable header: {e}")))?;
         if header.magic != SHARD_MAGIC {
-            return Err(ShardError::torn(&path, 0, 0, format!("bad magic {:?}", header.magic)));
+            return Err(CoreError::torn(&path, 0, 0, format!("bad magic {:?}", header.magic)));
         }
         if header.version != SHARD_VERSION {
-            return Err(ShardError::torn(
+            return Err(CoreError::torn(
                 &path,
                 0,
                 0,
@@ -355,7 +271,7 @@ impl ShardReader {
             ));
         }
         if header.kind != kind {
-            return Err(ShardError::torn(
+            return Err(CoreError::torn(
                 &path,
                 0,
                 0,
@@ -373,19 +289,19 @@ impl ShardReader {
 
     /// Reads the next record payload; `Ok(None)` at a clean end (exactly the
     /// promised record count, no trailing bytes).
-    pub fn next_record(&mut self) -> Result<Option<Vec<u8>>, ShardError> {
+    pub fn next_record(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
         let record = self.next as usize;
         let offset = self.offset;
         self.buf.clear();
         let n = self
             .reader
             .read_line(&mut self.buf)
-            .map_err(|e| ShardError::io(&self.path, "read", e))?;
+            .map_err(|e| CoreError::io(&self.path, "read", e))?;
         if self.next >= self.records {
             return if n == 0 {
                 Ok(None)
             } else {
-                Err(ShardError::torn(
+                Err(CoreError::torn(
                     &self.path,
                     record,
                     offset,
@@ -394,7 +310,7 @@ impl ShardReader {
             };
         }
         if n == 0 {
-            return Err(ShardError::torn(
+            return Err(CoreError::torn(
                 &self.path,
                 record,
                 offset,
@@ -402,9 +318,9 @@ impl ShardReader {
             ));
         }
         let Some(line) = self.buf.strip_suffix('\n') else {
-            return Err(ShardError::torn(&self.path, record, offset, "record line truncated"));
+            return Err(CoreError::torn(&self.path, record, offset, "record line truncated"));
         };
-        let torn = |detail: String| ShardError::torn(&self.path, record, offset, detail);
+        let torn = |detail: String| CoreError::torn(&self.path, record, offset, detail);
         let (sum_hex, rest) =
             line.split_once(' ').ok_or_else(|| torn("record frame missing checksum".into()))?;
         let (len_str, payload) =
@@ -432,7 +348,7 @@ impl ShardReader {
 }
 
 impl Iterator for ShardReader {
-    type Item = Result<Vec<u8>, ShardError>;
+    type Item = Result<Vec<u8>, CoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_record().transpose()
@@ -532,7 +448,7 @@ mod tests {
         for p in payloads {
             w.append(p).unwrap();
         }
-        w.finish().unwrap();
+        w.finish("test.shard", 0).unwrap();
     }
 
     #[test]
@@ -556,13 +472,13 @@ mod tests {
         let path = tmp("shard_kind");
         write_shard(&path, &[b"{}"]);
         match ShardReader::open(&path, "other-kind") {
-            Err(ShardError::Torn { detail, .. }) => assert!(detail.contains("kind"), "{detail}"),
+            Err(CoreError::Torn { detail, .. }) => assert!(detail.contains("kind"), "{detail}"),
             other => panic!("want Torn, got {other:?}"),
         }
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, text.replacen("\"version\":1", "\"version\":9", 1)).unwrap();
         match ShardReader::open(&path, "test-kind") {
-            Err(ShardError::Torn { detail, .. }) => assert!(detail.contains("version"), "{detail}"),
+            Err(CoreError::Torn { detail, .. }) => assert!(detail.contains("version"), "{detail}"),
             other => panic!("want Torn, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
@@ -572,7 +488,7 @@ mod tests {
     fn shard_truncation_at_every_prefix_is_a_typed_error() {
         // The shard twin of the journal's torn-tail sweep: a shard is
         // published atomically, so *every* strict prefix must surface a
-        // ShardError::Torn naming the path — never parse as a valid shard,
+        // CoreError::Torn naming the path — never parse as a valid shard,
         // never panic.
         let path = tmp("shard_prefix");
         let payloads: Vec<Vec<u8>> =
@@ -582,7 +498,7 @@ mod tests {
 
         for cut in 0..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let outcome = (|| -> Result<u64, ShardError> {
+            let outcome = (|| -> Result<u64, CoreError> {
                 let mut r = ShardReader::open(&path, "test-kind")?;
                 let mut n = 0;
                 while r.next_record()?.is_some() {
@@ -591,7 +507,7 @@ mod tests {
                 Ok(n)
             })();
             match outcome {
-                Err(ShardError::Torn { path: p, .. }) => {
+                Err(CoreError::Torn { path: p, .. }) => {
                     assert_eq!(p, path, "cut at byte {cut}");
                 }
                 other => panic!("cut at byte {cut}: want Torn error, got {other:?}"),
@@ -619,7 +535,7 @@ mod tests {
         let mut r = ShardReader::open(&path, "test-kind").unwrap();
         assert_eq!(r.next_record().unwrap().unwrap(), payloads[0]);
         match r.next_record() {
-            Err(ShardError::Torn { record, offset, detail, .. }) => {
+            Err(CoreError::Torn { record, offset, detail, .. }) => {
                 assert_eq!(record, 1);
                 assert_eq!(offset, record1_offset as u64);
                 assert!(detail.contains("checksum"), "{detail}");
@@ -634,7 +550,7 @@ mod tests {
         assert!(r.next_record().unwrap().is_some());
         assert!(r.next_record().unwrap().is_some());
         match r.next_record() {
-            Err(ShardError::Torn { record, offset, detail, .. }) => {
+            Err(CoreError::Torn { record, offset, detail, .. }) => {
                 assert_eq!(record, 2);
                 assert_eq!(offset, two_records as u64);
                 assert!(detail.contains("promises 3"), "{detail}");

@@ -5,9 +5,10 @@
 //! traffic levels the ROADMAP's north star targets. Three pieces:
 //!
 //! - [`ModelRegistry`] — versioned on-disk storage of servable checkpoints,
-//!   one directory per task, each version a checksummed [`autocts::persist`]
-//!   envelope (`v00001.ckpt`, `v00002.ckpt`, …). Publishing is atomic
-//!   (temp sibling + rename), so a serving process never loads a torn file.
+//!   one directory per task, each version a checksummed
+//!   [`octs_data::persist`] envelope (`v00001.ckpt`, `v00002.ckpt`, …).
+//!   Publishing is atomic (temp sibling + fsync + rename + directory fsync),
+//!   so a serving process never loads a torn file.
 //! - [`ForecastServer`] / [`TaskLane`] — a bounded worker-pool front-end.
 //!   Each served task gets one lane: a bounded request queue plus a dedicated
 //!   worker thread that owns the model exclusively (the forecaster's forward
@@ -80,10 +81,10 @@ pub use model::{
     SERVABLE_VERSION,
 };
 pub use octs_tensor::Precision;
-pub use registry::ModelRegistry;
+pub use registry::{ModelRegistry, PUBLISH_FAULT_SITE};
 pub use server::ForecastServer;
 
-use autocts::CoreError;
+pub use octs_data::persist::CoreError;
 
 /// What went wrong while serving.
 #[derive(Debug)]

@@ -8,22 +8,26 @@
 //! <root>/<task>/v00002.ckpt
 //! ```
 //!
-//! Each file is a checksummed, versioned [`autocts::persist`] envelope
+//! Each file is a checksummed, versioned [`octs_data::persist`] envelope
 //! written atomically, so publish-while-serving never exposes a torn
-//! checkpoint and every corruption mode maps to a typed
-//! [`autocts::CoreError`]. Loads pass through the `octs_obs::fault`
+//! checkpoint and every corruption mode maps to a typed [`CoreError`].
+//! Publishes commit at the `octs_obs::fault` `registry.publish` site
+//! (ordinal = the version being published); loads pass through the
 //! `registry.load` site (ordinal = load count), which is where the
 //! slow-disk and failed-load scenarios are injected under test.
 
 use crate::model::{ServableCheckpoint, SERVABLE_VERSION};
 use crate::ServeError;
-use autocts::{persist, CoreError};
+use octs_data::persist::{self, CoreError};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// The fault-injection site name for checkpoint loads.
 pub const LOAD_FAULT_SITE: &str = "registry.load";
+
+/// The fault-injection site name for publishes, keyed by version.
+pub const PUBLISH_FAULT_SITE: &str = "registry.publish";
 
 /// A directory of versioned servable checkpoints, one subdirectory per task.
 pub struct ModelRegistry {
@@ -90,9 +94,7 @@ impl ModelRegistry {
         let version = self.latest(&ckpt.task).unwrap_or(0) + 1;
         ckpt.version = version;
         let path = self.version_path(&ckpt.task, version);
-        let json = serde_json::to_string(&*ckpt)
-            .map_err(|e| CoreError::corrupt(&path, format!("checkpoint serialization: {e}")))?;
-        persist::write_envelope(&path, SERVABLE_VERSION, &json)?;
+        persist::save_json(&path, SERVABLE_VERSION, &*ckpt, PUBLISH_FAULT_SITE, version as u64)?;
         Ok(version)
     }
 
@@ -109,10 +111,7 @@ impl ModelRegistry {
         }
         octs_obs::fault::io_fault(LOAD_FAULT_SITE, op)
             .map_err(|e| CoreError::io(&path, "read", e))?;
-        let json = persist::read_envelope(&path, SERVABLE_VERSION)?;
-        let ckpt: ServableCheckpoint = serde_json::from_str(&json).map_err(|e| {
-            CoreError::corrupt(&path, format!("unparseable checkpoint payload: {e}"))
-        })?;
+        let ckpt: ServableCheckpoint = persist::load_json(&path, SERVABLE_VERSION)?;
         if ckpt.task != task || ckpt.version != version {
             return Err(ServeError::Core(CoreError::corrupt(
                 &path,

@@ -99,7 +99,7 @@ fn corrupt_checkpoint_is_rejected_typed() {
     bytes[n - 3] ^= 0x01;
     std::fs::write(&path, bytes).unwrap();
     match reg.load("t", 1) {
-        Err(ServeError::Core(autocts::CoreError::Corrupt { .. })) => {}
+        Err(ServeError::Core(octs_serve::CoreError::Corrupt { .. })) => {}
         other => panic!("want Corrupt, got {other:?}", other = other.err()),
     }
     std::fs::remove_dir_all(reg.root()).ok();
@@ -287,7 +287,7 @@ fn failed_reload_degrades_gracefully_to_current_version() {
     {
         let _fault = FaultScope::activate(plan);
         match server.reload("t") {
-            Err(ServeError::Core(autocts::CoreError::Io { op: "read", .. })) => {}
+            Err(ServeError::Core(octs_serve::CoreError::Io { op: "read", .. })) => {}
             other => panic!("want injected Io error, got {:?}", other.err()),
         }
     }
