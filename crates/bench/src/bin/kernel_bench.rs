@@ -498,9 +498,7 @@ fn main() {
                plans at each precision tier"
             .to_string(),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    println!("wrote BENCH_kernels.json");
+    octs_bench::write_report("BENCH_kernels.json", quick, &report);
 
     for r in &report.matmul {
         assert!(r.speedup >= 1.0, "fast matmul slower than naive at {}: {:.2}x", r.name, r.speedup);

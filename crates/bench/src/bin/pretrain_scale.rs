@@ -366,12 +366,10 @@ fn main() {
                caches first"
             .to_string(),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_pretrain_scale.json", &json).expect("write BENCH_pretrain_scale.json");
+    octs_bench::write_report("BENCH_pretrain_scale.json", quick, &report);
     println!(
-        "wrote BENCH_pretrain_scale.json: {} tasks, streamed rss growth {streamed_rss_growth:.2}x \
-         (bank {bank_growth:.1}x), rank cold {rank_cold_secs:.3}s",
-        bank_tasks
+        "{bank_tasks} tasks, streamed rss growth {streamed_rss_growth:.2}x \
+         (bank {bank_growth:.1}x), rank cold {rank_cold_secs:.3}s"
     );
 
     std::fs::remove_dir_all(&bank_dir).ok();

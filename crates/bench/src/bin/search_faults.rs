@@ -184,9 +184,7 @@ fn main() {
         search,
         resume,
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_search_faults.json", &json).expect("write BENCH_search_faults.json");
-    println!("wrote BENCH_search_faults.json");
+    octs_bench::write_report("BENCH_search_faults.json", quick, &report);
 
     assert!(report.search.quarantine_exact, "quarantine must cover exactly the injected faults");
     assert!(report.search.winner_identical, "faults outside the winner must not change the top-1");

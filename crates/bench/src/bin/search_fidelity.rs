@@ -234,10 +234,9 @@ fn main() {
                with bench-only extra labelling that is charged to neither pipeline"
             .to_string(),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_search_fidelity.json", &json).expect("write BENCH_search_fidelity.json");
+    octs_bench::write_report("BENCH_search_fidelity.json", quick, &report);
     println!(
-        "wrote BENCH_search_fidelity.json: mean epoch ratio {mean_label_epoch_ratio:.2}x, \
+        "mean epoch ratio {mean_label_epoch_ratio:.2}x, \
          mean quality ratio {mean_quality_ratio:.3}, winner agreement {winner_agreement_rate:.2}"
     );
 

@@ -181,9 +181,7 @@ fn main() {
         tournament,
         evolve,
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_search_parallel.json", &json).expect("write BENCH_search_parallel.json");
-    println!("wrote BENCH_search_parallel.json");
+    octs_bench::write_report("BENCH_search_parallel.json", quick, &report);
 
     let all_identical = report.tournament.iter().all(|r| r.topk_identical_to_serial)
         && report.evolve.iter().all(|r| r.top_identical_to_serial);

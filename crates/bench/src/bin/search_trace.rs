@@ -242,9 +242,7 @@ fn main() {
                is task-unaware by configuration, so its own counters stay zero)"
             .to_string(),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_search_trace.json", &json).expect("write BENCH_search_trace.json");
-    println!("wrote BENCH_search_trace.json");
+    octs_bench::write_report("BENCH_search_trace.json", quick, &report);
 
     assert!(winner_identical, "recorder-on search must select the byte-identical winner");
     assert!(

@@ -6,15 +6,23 @@
 //! request as soon as the previous one returns). Every concurrency level is
 //! measured twice — `max_batch = 1` (unbatched baseline) and the default
 //! coalescing policy — and the report gates on the micro-batcher actually
-//! paying off. Results land in `BENCH_serving.json`.
+//! paying off.
+//!
+//! First, a `heap` section follows the live heap through the lifecycle of
+//! the end-to-end benchmark's deep `serve-steady` fixture: fixture
+//! training, publish and load, the plan compile at each batch size, and
+//! steady batch-1 requests. The phases run back to back, each restarting
+//! the high-water mark where the previous one ended, so the largest phase
+//! peak is the lifecycle peak. Results land in `BENCH_serving.json`.
 //!
 //! ```sh
 //! cargo run --release --bin serving_bench            # full load, 1.5x gate
 //! cargo run --release --bin serving_bench -- --quick # CI smoke, 1.0x gate
 //! ```
 
-use octs_data::Adjacency;
-use octs_model::{Forecaster, ModelDims};
+use octs_data::{Adjacency, DatasetProfile, Domain, ForecastSetting, ForecastTask, Split};
+use octs_model::{train_forecaster, Forecaster, ModelDims, TrainConfig};
+use octs_obs::heap::{self, CountingAlloc};
 use octs_serve::{BatchPolicy, ForecastServer, ModelRegistry, Precision, ServableCheckpoint};
 use octs_space::{ArchDag, ArchHyper, HyperParams, JointSpace};
 use octs_tensor::Tensor;
@@ -30,6 +38,16 @@ const P: usize = 8;
 const OUT: usize = 3;
 const TASK: &str = "bench";
 const TASK_DEEP: &str = "bench_deep";
+
+#[global_allocator]
+static HEAP: CountingAlloc = CountingAlloc;
+
+/// Batch sizes the heap lifecycle compiles, as `serve-steady`'s lane does.
+const HEAP_MAX_BATCH: usize = 8;
+const HEAP_STEADY_REQUESTS: usize = 500;
+/// Ceiling of the lifecycle peak; the buffer pool's 8 MiB per-thread idle
+/// budget keeps it near 34 MiB.
+const HEAP_MAX_PEAK_MIB: f64 = 40.0;
 
 #[derive(Serialize)]
 struct LatencyStats {
@@ -54,8 +72,26 @@ struct LevelRow {
 }
 
 #[derive(Serialize)]
+struct HeapPhase {
+    phase: String,
+    /// Most bytes live at once during the phase.
+    peak_mib: f64,
+    /// Bytes live when the phase ended.
+    live_after_mib: f64,
+}
+
+#[derive(Serialize)]
+struct HeapReport {
+    lifecycle_peak_mib: f64,
+    peak_phase: String,
+    steady_requests: usize,
+    phases: Vec<HeapPhase>,
+}
+
+#[derive(Serialize)]
 struct Report {
     quick: bool,
+    heap: HeapReport,
     requests_per_client: usize,
     model_params: usize,
     deep_model_params: usize,
@@ -147,8 +183,103 @@ fn run_load(
     (stats(lat_us, wall), mean_batch)
 }
 
+/// Records the heap of one phase: its peak since the previous phase ended,
+/// and what it left live. Restarts the high-water mark for the next phase.
+fn end_phase(phases: &mut Vec<HeapPhase>, phase: impl Into<String>) {
+    phases.push(HeapPhase {
+        phase: phase.into(),
+        peak_mib: heap::mib(heap::peak_bytes()),
+        live_after_mib: heap::mib(heap::live_bytes()),
+    });
+    heap::reset_peak();
+}
+
+/// The heap lifecycle of the end-to-end benchmark's `serve-steady` fixture
+/// (three ST-blocks, h=16, i=32 on 16 series, trained briefly) on one
+/// `Fused` lane with `max_batch` 8 and no straggler window.
+fn heap_lifecycle() -> HeapReport {
+    let mut phases = Vec::new();
+    heap::reset_peak();
+
+    let (n, p) = (16, 12);
+    let setting = ForecastSetting::multi(p, 3);
+    let profile = DatasetProfile::custom("steady", Domain::Traffic, n, 400, 24, 0.3, 0.1, 10.0, 11);
+    let task = ForecastTask::new(profile.generate(0), setting, 0.6, 0.2, 1);
+    let arch = ArchDag::sample_admissible(4, &mut ChaCha8Rng::seed_from_u64(7));
+    let ah = ArchHyper::new(arch, HyperParams { b: 3, c: 4, h: 16, i: 32, u: 0, delta: 0 });
+    let mut fc = Forecaster::new(ah, ModelDims::new(n, 1, setting), &task.data.adjacency, 1);
+    train_forecaster(&mut fc, &task, &TrainConfig::test());
+    fc.training = false;
+    let inputs: Vec<Tensor> = task
+        .windows(Split::Test)
+        .iter()
+        .take(HEAP_MAX_BATCH)
+        .map(|&start| task.make_batch(&[start]).x.reshaped(vec![1, n, p]))
+        .collect();
+    end_phase(&mut phases, "fixture_training");
+
+    let root = std::env::temp_dir().join(format!("octs_serving_heap_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let registry = ModelRegistry::open(&root).expect("open registry");
+    registry
+        .publish(&mut ServableCheckpoint::new(TASK_DEEP, &fc, &task.data.adjacency, 1))
+        .expect("publish heap fixture");
+    let policy =
+        BatchPolicy { max_batch: HEAP_MAX_BATCH, max_delay: Duration::ZERO, ..Default::default() };
+    let server = ForecastServer::new(registry, policy);
+    server.serve_task(TASK_DEEP).expect("serve heap fixture");
+    end_phase(&mut phases, "publish_and_load");
+
+    // A blocker request occupies the lane while `b` more queue behind it;
+    // the batch-size histogram confirms the size that ran (and compiled).
+    for b in 1..=HEAP_MAX_BATCH {
+        for attempt in 0.. {
+            assert!(attempt < 50, "could not drive the lane to batch size {b}");
+            let rec = octs_obs::Recorder::new();
+            {
+                let _obs = octs_obs::ObsScope::activate(&rec);
+                let mut pending = vec![server.submit_async(TASK_DEEP, inputs[0].clone())];
+                std::thread::sleep(Duration::from_micros(300));
+                pending
+                    .extend(inputs[..b].iter().map(|x| server.submit_async(TASK_DEEP, x.clone())));
+                for p in pending {
+                    p.expect("submit").wait().expect("forecast");
+                }
+            }
+            let h = rec.summary().histogram("serve.batch_size").cloned().expect("batches ran");
+            if h.count <= 2 && h.max as usize == b {
+                break;
+            }
+        }
+        end_phase(&mut phases, format!("compile_b{b}"));
+    }
+
+    for i in 0..HEAP_STEADY_REQUESTS {
+        let fc = server.submit(TASK_DEEP, inputs[i % inputs.len()].clone()).expect("forecast");
+        assert!(fc.values.all_finite());
+    }
+    end_phase(&mut phases, "steady");
+    ForecastServer::shutdown(server);
+    std::fs::remove_dir_all(&root).ok();
+
+    let top = phases.iter().max_by(|a, b| a.peak_mib.total_cmp(&b.peak_mib)).expect("phases ran");
+    HeapReport {
+        lifecycle_peak_mib: top.peak_mib,
+        peak_phase: top.phase.clone(),
+        steady_requests: HEAP_STEADY_REQUESTS,
+        phases,
+    }
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let heap = heap_lifecycle();
+    for p in &heap.phases {
+        eprintln!(
+            "[heap] {:<16} peak {:>6.2} MiB, live after {:>6.2} MiB",
+            p.phase, p.peak_mib, p.live_after_mib
+        );
+    }
     let levels: &[usize] = if quick { &[1, 4, 8] } else { &[1, 4, 8, 16] };
     let requests = if quick { 60 } else { 250 };
 
@@ -237,6 +368,7 @@ fn main() {
 
     let report = Report {
         quick,
+        heap,
         requests_per_client: requests,
         model_params,
         deep_model_params,
@@ -251,12 +383,17 @@ fn main() {
                run; latencies are client-observed submit-to-response"
             .to_string(),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_serving.json", &json).expect("write BENCH_serving.json");
-    println!("wrote BENCH_serving.json");
+    octs_bench::write_report("BENCH_serving.json", quick, &report);
 
-    // Gates. Quick mode (CI smoke, noisy shared runners) only requires the
-    // batcher to not lose; the full run holds the paper-grade bar.
+    // Gates. The heap gate is deterministic and holds in both modes. Quick
+    // mode (CI smoke, noisy shared runners) only requires the batcher to not
+    // lose; the full run holds the paper-grade bar.
+    assert!(
+        report.heap.lifecycle_peak_mib <= HEAP_MAX_PEAK_MIB,
+        "serve lifecycle peaked at {:.2} MiB live ({}), above {HEAP_MAX_PEAK_MIB} MiB",
+        report.heap.lifecycle_peak_mib,
+        report.heap.peak_phase
+    );
     assert!(worst_p99 < 5_000_000.0, "p99 latency {worst_p99:.0}us exceeds the 5s sanity bound");
     let (min_ratio, at) = if quick { (1.0, 8) } else { (1.5, 8) };
     let gated: Vec<&LevelRow> = report.levels.iter().filter(|r| r.concurrency >= at).collect();

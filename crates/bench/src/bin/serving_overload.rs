@@ -289,10 +289,7 @@ fn main() {
                shed/deadline_expired counts reported alongside"
             .to_string(),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write("BENCH_serving_overload.json", &json)
-        .expect("write BENCH_serving_overload.json");
-    println!("wrote BENCH_serving_overload.json");
+    octs_bench::write_report("BENCH_serving_overload.json", quick, &report);
 
     // Gates. Quick mode (CI smoke on noisy shared runners) only checks the
     // run terminates with nonzero goodput and balanced books — the no-hang

@@ -298,7 +298,7 @@ impl AutoCts {
         opts: &BankRunOptions,
     ) -> Result<PretrainReport, CoreError> {
         assert!(opts.workers > 0, "need at least one worker");
-        std::fs::create_dir_all(run_dir).map_err(|e| CoreError::io(run_dir, "create_dir", e))?;
+        persist::create_dir_durable(run_dir)?;
         let journal_path = run_dir.join(JOURNAL_FILE);
         let (mut journal, records) = Journal::open(&journal_path)?;
 

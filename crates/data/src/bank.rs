@@ -13,7 +13,8 @@
 //! ```
 //! Both kinds are committed through [`persist::AtomicFile`]: shards at fault
 //! site `bank.shard` (op = shard index), the manifest at `bank.manifest`
-//! (op 0), last, so a bank with a manifest is complete.
+//! (op 0), last, so a bank with a manifest is complete. Only the manifest's
+//! commit fsyncs the bank directory, once for every name in it.
 //!
 //! Two memory disciplines make banks scale past RAM:
 //! - **generation** materializes one task at a time ([`BankConfig::task`]
@@ -194,7 +195,7 @@ impl BankManifest {
 pub fn write_bank(dir: impl AsRef<Path>, cfg: &BankConfig) -> Result<BankManifest, CoreError> {
     let dir = dir.as_ref();
     assert!(cfg.n_tasks > 0, "bank needs at least one task");
-    std::fs::create_dir_all(dir).map_err(|e| CoreError::io(dir, "create_dir", e))?;
+    persist::create_dir_durable(dir)?;
     let mut shards = Vec::with_capacity(cfg.n_shards());
     for shard in 0..cfg.n_shards() {
         let start = shard * cfg.shard_tasks;

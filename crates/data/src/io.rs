@@ -217,8 +217,10 @@ impl ShardWriter {
     }
 
     /// Publishes the shard under its real name, committing at fault site
-    /// `(site, op)`. Panics if fewer records than promised were appended —
-    /// that is a caller bug, not an IO condition.
+    /// `(site, op)` without the directory fsync: a shard is read only
+    /// through the bank manifest, whose later commit into the same directory
+    /// makes the shard's name durable too. Panics if fewer records than
+    /// promised were appended — that is a caller bug, not an IO condition.
     pub fn finish(self, site: &str, op: u64) -> Result<(), CoreError> {
         assert_eq!(
             self.written,
@@ -228,7 +230,7 @@ impl ShardWriter {
             self.promised,
             self.written
         );
-        self.file.commit(site, op)
+        self.file.commit_unsynced_dir(site, op)
     }
 }
 

@@ -6,7 +6,11 @@
 //! published by [`AtomicFile::commit`]: the bytes go to a `.tmp` sibling,
 //! are fsynced, renamed over the destination, and the parent directory is
 //! fsynced. A crash at any point leaves either the previous file or the new
-//! one, never a torn mix, and a committed name survives power loss.
+//! one, never a torn mix, and a committed name survives power loss. A bank's
+//! shards skip the directory fsync ([`AtomicFile::commit_unsynced_dir`]):
+//! the manifest, committed last into the same directory, makes their names
+//! durable with its own. Directories that hold durable files are made by
+//! [`create_dir_durable`], so a new directory entry survives as well.
 //!
 //! Everything but the shards (which are record-framed, see
 //! [`crate::io::ShardWriter`]) is an **envelope**:
@@ -159,6 +163,17 @@ pub fn sync_parent(path: &Path) -> Result<(), CoreError> {
     File::open(dir).and_then(|d| d.sync_all()).map_err(|e| CoreError::io(dir, "sync_dir", e))
 }
 
+/// Creates `dir` and any missing ancestors, fsyncing the parent of every
+/// directory it creates, so the new entries survive power loss together
+/// with the files later committed inside them. An existing `dir` costs one
+/// `metadata` call and no fsync.
+pub fn create_dir_durable(dir: &Path) -> Result<(), CoreError> {
+    let missing: Vec<&Path> =
+        dir.ancestors().take_while(|d| !d.as_os_str().is_empty() && !d.exists()).collect();
+    std::fs::create_dir_all(dir).map_err(|e| CoreError::io(dir, "create_dir", e))?;
+    missing.iter().rev().try_for_each(|d| sync_parent(d))
+}
+
 /// A file being written under a `.tmp` sibling of its destination; nothing
 /// appears under the real name until [`AtomicFile::commit`].
 pub struct AtomicFile {
@@ -194,13 +209,23 @@ impl AtomicFile {
     /// at the exact point where the complete `.tmp` file exists but the
     /// destination still holds its previous contents (or nothing).
     pub fn commit(self, site: &str, op: u64) -> Result<(), CoreError> {
+        let path = self.path.clone();
+        self.commit_unsynced_dir(site, op)?;
+        sync_parent(&path)
+    }
+
+    /// [`AtomicFile::commit`] without the directory fsync: the file's bytes
+    /// are durable, its name only once a later commit into the same
+    /// directory fsyncs it. For a batch of files that a last file, committed
+    /// with [`AtomicFile::commit`], makes visible (a bank's shards and its
+    /// manifest).
+    pub fn commit_unsynced_dir(self, site: &str, op: u64) -> Result<(), CoreError> {
         let Self { path, tmp, file } = self;
         let file = file.into_inner().map_err(|e| CoreError::io(&tmp, "flush", e.into_error()))?;
         file.sync_all().map_err(|e| CoreError::io(&tmp, "sync", e))?;
         drop(file);
         octs_obs::fault::io_fault(site, op).map_err(|e| CoreError::io(&path, "rename", e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| CoreError::io(&path, "rename", e))?;
-        sync_parent(&path)
+        std::fs::rename(&tmp, &path).map_err(|e| CoreError::io(&path, "rename", e))
     }
 }
 
@@ -357,6 +382,23 @@ mod tests {
         std::fs::write(&p, "").unwrap();
         assert!(matches!(read_envelope(&p, 1), Err(CoreError::Corrupt { .. })));
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn durable_dirs_are_created_nested_and_idempotent() {
+        let root = tmp("dirs");
+        std::fs::remove_dir_all(&root).ok();
+        let leaf = root.join("a").join("b");
+        create_dir_durable(&leaf).unwrap();
+        assert!(leaf.is_dir());
+        create_dir_durable(&leaf).unwrap();
+        let blocked = root.join("file");
+        std::fs::write(&blocked, "x").unwrap();
+        match create_dir_durable(&blocked.join("c")) {
+            Err(CoreError::Io { op: "create_dir", .. }) => {}
+            other => panic!("want a create_dir IO error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

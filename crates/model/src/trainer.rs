@@ -354,10 +354,12 @@ pub fn train_forecaster<M: CtsForecastModel + ?Sized>(
     let test = evaluate(fc, task, Split::Test, cfg.max_eval_windows);
     // Export this run's buffer-pool behavior as obs counters (delta against
     // the run start, mirroring the search cache-counter idiom): a warm train
-    // loop should show hits dominating misses by >20:1.
+    // loop should show hits dominating misses by >20:1, and `dropped` counts
+    // the buffers freed because the pool's idle budget was full.
     let pool = octs_tensor::pool::stats().since(&pool_before);
     octs_obs::counter("tensor.pool.hits", pool.hits);
     octs_obs::counter("tensor.pool.misses", pool.misses);
+    octs_obs::counter("tensor.pool.dropped", pool.dropped);
     TrainReport {
         best_val_mae: best,
         epochs_run,

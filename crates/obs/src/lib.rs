@@ -8,14 +8,17 @@
 //!   attaches it to the current run.
 //! - A [`fault::FaultPlan`] schedules failures; a [`fault::FaultScope`] arms
 //!   it on the current run.
+//! - [`heap::CountingAlloc`], a binary's opt-in global allocator, counts the
+//!   process's live heap bytes and their high-water mark.
 //!
-//! Both live in one [`RunCtx`] slot shared by the run's threads. A scope sets
-//! its half on the current thread's slot and restores it on drop, so runs on
-//! different threads never wait for or see each other. Work follows the
-//! thread that started it: the ranking and labelling fan-outs, the bank
-//! shard workers and every serving lane enter their spawner's context; a
-//! lane shares the slot of the thread that started serving its task, so a
-//! scope activated there later reaches it whichever thread submits.
+//! The first two live in one [`RunCtx`] slot shared by the run's threads. A
+//! scope sets its half on the current thread's slot and restores it on drop,
+//! so runs on different threads never wait for or see each other. Work
+//! follows the thread that started it: the ranking and labelling fan-outs,
+//! the bank shard workers and every serving lane enter their spawner's
+//! context; a lane shares the slot of the thread that started serving its
+//! task, so a scope activated there later reaches it whichever thread
+//! submits.
 //!
 //! Instrumented code calls free-function hooks ([`span`], [`counter`],
 //! [`observe`], [`event`]) without threading a handle through the call
@@ -34,6 +37,7 @@
 
 mod ctx;
 pub mod fault;
+pub mod heap;
 
 pub use ctx::RunCtx;
 

@@ -42,7 +42,7 @@ impl ModelRegistry {
     /// Opens (creating if needed) a registry rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, CoreError> {
         let root = root.into();
-        std::fs::create_dir_all(&root).map_err(|e| CoreError::io(&root, "create_dir", e))?;
+        persist::create_dir_durable(&root)?;
         Ok(Self { root, loads: AtomicU64::new(0), publish: Mutex::new(()) })
     }
 
@@ -90,7 +90,7 @@ impl ModelRegistry {
         let _span = octs_obs::span("serve.registry.publish");
         let _publishing = self.publish.lock().unwrap_or_else(|e| e.into_inner());
         let dir = self.task_dir(&ckpt.task);
-        std::fs::create_dir_all(&dir).map_err(|e| CoreError::io(&dir, "create_dir", e))?;
+        persist::create_dir_durable(&dir)?;
         let version = self.latest(&ckpt.task).unwrap_or(0) + 1;
         ckpt.version = version;
         let path = self.version_path(&ckpt.task, version);

@@ -13,14 +13,24 @@
 //!   at least `2^c` elements (capacity is floor-classed on give and
 //!   ceil-classed on take, so a pooled buffer always satisfies the request
 //!   without reallocating).
-//! - **Bounded**: per-class buffer counts and a total pooled-byte budget cap
-//!   retention; overflow buffers are genuinely freed and counted as
-//!   `dropped`.
+//! - **Bounded**: per-class buffer counts and an idle budget of 8 MiB per
+//!   thread cap retention; overflow buffers are genuinely freed and counted
+//!   as `dropped`. The budget bounds what a thread keeps after a phase ends,
+//!   like a per-thread allocator cache limit. Uncapped, the thread that
+//!   trains `serve-steady`'s fixture keeps 28.6 MiB idle and the serving
+//!   lane about 33 MiB from its warm-up plan compiles, while steady batch-1
+//!   requests need about 0.5 MiB; capped, that workload peaks at about
+//!   34 MiB of heap instead of 65 (about 2 × budget plus the 18 MiB trace of
+//!   the batch-8 compile). The budget does not bind on `ladder-search` or
+//!   `serve-burst`: their peak heap is unchanged. A 4 MiB budget would: the
+//!   ladder's peak heap fell from 5.8 to 4.9 MiB with it, as its training
+//!   loop dropped buffers it reuses.
 //!
-//! Hit/miss counters are kept per thread and surfaced two ways: directly via
-//! [`stats`], and as `tensor.pool.hits` / `tensor.pool.misses` deltas emitted
-//! through `octs-obs` by the model trainer (see `octs-model`), following the
-//! same before/after-delta idiom as the search cache counters.
+//! Hit/miss/drop counters and the idle bytes are kept per thread and
+//! surfaced two ways: directly via [`stats`], and as `tensor.pool.hits` /
+//! `tensor.pool.misses` / `tensor.pool.dropped` deltas emitted through
+//! `octs-obs` by the model trainer (see `octs-model`), following the same
+//! before/after-delta idiom as the search cache counters.
 
 use std::cell::RefCell;
 
@@ -32,9 +42,9 @@ const NUM_CLASSES: usize = 32;
 /// hundred tensors live at peak, most clustered in a handful of classes.
 const MAX_PER_CLASS: usize = 1024;
 
-/// Total budget of pooled (idle) f32 elements per thread: 128 Mi elements =
-/// 512 MiB. Above it, returned buffers are freed instead of retained.
-const MAX_POOLED_ELEMS: usize = 128 * 1024 * 1024;
+/// Total budget of pooled (idle) f32 elements per thread: 2 Mi elements =
+/// 8 MiB. Above it, returned buffers are freed instead of retained.
+const MAX_POOLED_ELEMS: usize = 2 * 1024 * 1024;
 
 /// Snapshot of one thread's pool counters since thread start (or the last
 /// [`reset_stats`]).
@@ -48,6 +58,11 @@ pub struct PoolStats {
     pub returned: u64,
     /// Buffers freed on return because a cap was reached.
     pub dropped: u64,
+    /// Bytes of capacity idle in the free lists now.
+    pub idle_bytes: u64,
+    /// Most bytes idle at once since thread start (or the last
+    /// [`reset_stats`]).
+    pub peak_idle_bytes: u64,
 }
 
 impl PoolStats {
@@ -61,13 +76,15 @@ impl PoolStats {
         }
     }
 
-    /// Element-wise difference against an earlier snapshot.
+    /// Counter-wise difference against an earlier snapshot; the idle-byte
+    /// gauges keep this snapshot's values.
     pub fn since(&self, earlier: &PoolStats) -> PoolStats {
         PoolStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
             returned: self.returned - earlier.returned,
             dropped: self.dropped - earlier.dropped,
+            ..*self
         }
     }
 }
@@ -75,6 +92,7 @@ impl PoolStats {
 struct BufferPool {
     classes: Vec<Vec<Vec<f32>>>,
     pooled_elems: usize,
+    peak_pooled_elems: usize,
     stats: PoolStats,
     enabled: bool,
 }
@@ -84,6 +102,7 @@ impl BufferPool {
         Self {
             classes: (0..NUM_CLASSES).map(|_| Vec::new()).collect(),
             pooled_elems: 0,
+            peak_pooled_elems: 0,
             stats: PoolStats::default(),
             enabled: true,
         }
@@ -168,8 +187,18 @@ impl BufferPool {
             return;
         }
         self.pooled_elems += buf.capacity();
+        self.peak_pooled_elems = self.peak_pooled_elems.max(self.pooled_elems);
         self.stats.returned += 1;
         list.push(buf);
+    }
+
+    fn stats(&self) -> PoolStats {
+        let bytes = |elems: usize| (elems * std::mem::size_of::<f32>()) as u64;
+        PoolStats {
+            idle_bytes: bytes(self.pooled_elems),
+            peak_idle_bytes: bytes(self.peak_pooled_elems),
+            ..self.stats
+        }
     }
 }
 
@@ -230,12 +259,17 @@ pub fn give(buf: Vec<f32>) {
 
 /// This thread's counters since thread start or the last [`reset_stats`].
 pub fn stats() -> PoolStats {
-    POOL.with(|p| p.borrow().stats)
+    POOL.with(|p| p.borrow().stats())
 }
 
-/// Zeroes this thread's counters (retained buffers stay pooled).
+/// Zeroes this thread's counters and restarts the idle high-water mark at
+/// the bytes idle now (retained buffers stay pooled).
 pub fn reset_stats() {
-    POOL.with(|p| p.borrow_mut().stats = PoolStats::default());
+    POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        pool.stats = PoolStats::default();
+        pool.peak_pooled_elems = pool.pooled_elems;
+    });
 }
 
 /// Frees every retained buffer on this thread and zeroes the byte budget.
@@ -330,12 +364,38 @@ mod tests {
     }
 
     #[test]
+    fn idle_bytes_are_capped_at_the_budget() {
+        clear();
+        reset_stats();
+        // 16 MiB of buffers, 1 MiB each, handed back at once.
+        let mib = 1 << 18;
+        let bufs: Vec<Vec<f32>> = (0..16).map(|_| take(mib)).collect();
+        bufs.into_iter().for_each(give);
+        let s = stats();
+        assert_eq!(s.idle_bytes, 8 << 20, "the pool keeps exactly its 8 MiB budget");
+        assert_eq!(s.peak_idle_bytes, 8 << 20);
+        assert_eq!((s.returned, s.dropped), (8, 8), "the other 8 MiB are freed");
+        clear();
+        assert_eq!(stats().idle_bytes, 0);
+        assert_eq!(stats().peak_idle_bytes, 8 << 20, "clear keeps the high-water mark");
+        reset_stats();
+        assert_eq!(stats().peak_idle_bytes, 0);
+    }
+
+    #[test]
     fn hit_rate_reporting() {
-        let s = PoolStats { hits: 99, misses: 1, returned: 0, dropped: 0 };
+        let s = PoolStats { hits: 99, misses: 1, ..PoolStats::default() };
         assert!((s.hit_rate() - 0.99).abs() < 1e-12);
         assert_eq!(PoolStats::default().hit_rate(), 1.0);
-        let later = PoolStats { hits: 120, misses: 2, returned: 50, dropped: 1 };
+        let later = PoolStats {
+            hits: 120,
+            misses: 2,
+            returned: 50,
+            dropped: 1,
+            idle_bytes: 64,
+            peak_idle_bytes: 128,
+        };
         let d = later.since(&s);
-        assert_eq!(d, PoolStats { hits: 21, misses: 1, returned: 50, dropped: 1 });
+        assert_eq!(d, PoolStats { hits: 21, misses: 1, returned: 50, dropped: 1, ..later });
     }
 }
