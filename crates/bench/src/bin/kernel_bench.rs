@@ -7,29 +7,38 @@
 //! against the bit-identical small-shape kernels at the ladder-search
 //! training shapes (batched linear layers, DGCN diffusion, attention, GDCC
 //! conv). Times the odometer permute against the strided kernel at the four
-//! ST-operator layouts. Also times one full training run both ways and
-//! reports ns per optimizer step plus the buffer-pool hit rate. Results land
-//! in `BENCH_kernels.json`.
+//! ST-operator layouts, and the tape forward against the compiled frozen
+//! plans. Each of those rows is [`PAIRS`] alternating reference/fast
+//! windows ([`octs_bench::paired`]); its speedup is the median per-pair
+//! ratio. Also times one full training run both ways (ns per optimizer step
+//! plus the buffer-pool hit rate) and, ungated, the T-AHC comparator's
+//! inference and training step. Results land in `BENCH_kernels.json`.
 //!
-//! Exits nonzero if any fast kernel (small-shape and permute included) is
-//! slower than its
-//! naive reference (the CI smoke gate), or — in full mode — if matmul
-//! speedup at the GIN/ST-block shapes falls below the 3x acceptance floor.
+//! Exits nonzero if any fast kernel (small-shape and permute included) or
+//! the frozen forward is slower than its reference (the CI smoke gate), or —
+//! in full mode — if matmul speedup at the GIN/ST-block shapes falls below
+//! the 3x acceptance floor or frozen-vs-tape below 1.5x.
 //!
 //! ```sh
 //! cargo run --release --bin kernel_bench            # full, 3x gate
 //! cargo run --release --bin kernel_bench -- --quick # CI smoke, >=1x gate
 //! ```
 
+use octs_bench::{paired, window_ns, Paired};
+use octs_comparator::{Tahc, TahcConfig};
 use octs_data::{Adjacency, DatasetProfile, Domain, ForecastSetting, ForecastTask};
 use octs_model::{train_forecaster, Forecaster, FrozenForecaster, ModelDims, TrainConfig};
-use octs_space::{ArchDag, ArchHyper, HyperParams, JointSpace};
+use octs_space::{ArchDag, ArchHyper, HyperParams, HyperSpace, JointSpace};
 use octs_tensor::ops::{conv, matmul, shapeops};
 use octs_tensor::{Precision, Tensor};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::time::{Duration, Instant};
+use std::hint::black_box;
+use std::time::Duration;
+
+/// Alternating reference/fast window pairs behind every gated row.
+const PAIRS: usize = 11;
 
 #[derive(Serialize)]
 struct MatmulRow {
@@ -42,6 +51,8 @@ struct MatmulRow {
     naive_gflops: f64,
     fast_gflops: f64,
     speedup: f64,
+    speedup_q1: f64,
+    speedup_q3: f64,
 }
 
 #[derive(Serialize)]
@@ -58,6 +69,8 @@ struct ConvRow {
     naive_gflops: f64,
     fast_gflops: f64,
     speedup: f64,
+    speedup_q1: f64,
+    speedup_q3: f64,
 }
 
 #[derive(Serialize)]
@@ -67,6 +80,8 @@ struct SmallRow {
     reference_ns: f64,
     fast_ns: f64,
     speedup: f64,
+    speedup_q1: f64,
+    speedup_q3: f64,
 }
 
 #[derive(Serialize)]
@@ -77,6 +92,8 @@ struct PermuteRow {
     naive_ns: f64,
     fast_ns: f64,
     speedup: f64,
+    speedup_q1: f64,
+    speedup_q3: f64,
 }
 
 #[derive(Serialize)]
@@ -88,6 +105,8 @@ struct TrainRow {
     pool_hit_rate: f64,
 }
 
+/// Each tier is paired against the tape forward; `tape_ns` is the tape
+/// side of the Fused pairing.
 #[derive(Serialize)]
 struct InferRow {
     batch: usize,
@@ -96,43 +115,44 @@ struct InferRow {
     fused_ns: f64,
     int8_ns: f64,
     frozen_speedup: f64,
+    frozen_speedup_q1: f64,
+    frozen_speedup_q3: f64,
     int8_speedup: f64,
     quantized_matmuls: usize,
 }
 
+/// One ungated timing, a single window: the baselines of the comparator's
+/// inference and training step.
+#[derive(Serialize)]
+struct ComparatorRow {
+    name: String,
+    ns: f64,
+}
+
 #[derive(Serialize)]
 struct Report {
-    quick: bool,
+    pairs: usize,
+    window_ms: f64,
     matmul: Vec<MatmulRow>,
     conv: Vec<ConvRow>,
     small: Vec<SmallRow>,
     permute: Vec<PermuteRow>,
     train_step: TrainRow,
     infer: Vec<InferRow>,
+    comparator: Vec<ComparatorRow>,
     min_matmul_speedup: f64,
     min_frozen_speedup: f64,
     note: String,
 }
 
-/// ns per call, best of three measurement windows (this guards the CI gate
-/// against scheduler noise on shared cores): one warm-up, then each window
-/// repeats the call until `target` wall time elapses.
-fn bench_ns<F: FnMut()>(target: Duration, mut f: F) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let mut iters = 0u64;
-        let t0 = Instant::now();
-        loop {
-            f();
-            iters += 1;
-            if t0.elapsed() >= target {
-                break;
-            }
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
+/// Times `run` with the reference kernels (A) against the fast ones (B).
+fn naive_vs_fast(window: Duration, mut run: impl FnMut()) -> Paired {
+    let p = paired(PAIRS, window, |fast| {
+        matmul::set_fast_enabled(fast);
+        run();
+    });
+    matmul::set_fast_enabled(true);
+    p
 }
 
 fn filled(n: usize, scale: f32) -> Vec<f32> {
@@ -141,7 +161,7 @@ fn filled(n: usize, scale: f32) -> Vec<f32> {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let target = Duration::from_millis(if quick { 25 } else { 120 });
+    let window = Duration::from_millis(if quick { 6 } else { 30 });
 
     // --- 1. Matmul at GIN and ST-block shapes -----------------------------
     // GIN comparator: MLP layers are [dim x dim] at dim = 128, applied to
@@ -161,27 +181,22 @@ fn main() {
         let mut out = vec![0.0f32; m * n];
         let flops = 2.0 * (m * k * n) as f64;
 
-        matmul::set_fast_enabled(false);
-        let naive_ns = bench_ns(target, || {
+        let p = naive_vs_fast(window, || {
             out.fill(0.0);
             matmul::matmul_kernel(&a, &b, &mut out, m, k, n);
         });
-        matmul::set_fast_enabled(true);
-        let fast_ns = bench_ns(target, || {
-            out.fill(0.0);
-            matmul::matmul_kernel(&a, &b, &mut out, m, k, n);
-        });
-
         let row = MatmulRow {
             name: name.to_string(),
             m,
             k,
             n,
-            naive_ns,
-            fast_ns,
-            naive_gflops: flops / naive_ns,
-            fast_gflops: flops / fast_ns,
-            speedup: naive_ns / fast_ns,
+            naive_ns: p.a_ns,
+            fast_ns: p.b_ns,
+            naive_gflops: flops / p.a_ns,
+            fast_gflops: flops / p.b_ns,
+            speedup: p.ratio.median,
+            speedup_q1: p.ratio.q1,
+            speedup_q3: p.ratio.q3,
         };
         eprintln!(
             "[matmul] {:<16} {m:>4}x{k:>3}x{n:>3}  naive {:>7.2} GF/s  fast {:>7.2} GF/s  {:>5.2}x",
@@ -204,8 +219,7 @@ fn main() {
         let mut out = vec![0.0f32; batch * c_out * l];
         let flops = 2.0 * (batch * c_out * c_in * ksize * l) as f64;
 
-        matmul::set_fast_enabled(false);
-        let naive_ns = bench_ns(target, || {
+        let p = naive_vs_fast(window, || {
             out.fill(0.0);
             conv::conv1d_forward(
                 &x,
@@ -220,23 +234,6 @@ fn main() {
                 dilation,
             );
         });
-        matmul::set_fast_enabled(true);
-        let fast_ns = bench_ns(target, || {
-            out.fill(0.0);
-            conv::conv1d_forward(
-                &x,
-                &w,
-                Some(&bias),
-                &mut out,
-                batch,
-                c_in,
-                c_out,
-                l,
-                ksize,
-                dilation,
-            );
-        });
-
         let row = ConvRow {
             name: name.to_string(),
             batch,
@@ -245,11 +242,13 @@ fn main() {
             l,
             ksize,
             dilation,
-            naive_ns,
-            fast_ns,
-            naive_gflops: flops / naive_ns,
-            fast_gflops: flops / fast_ns,
-            speedup: naive_ns / fast_ns,
+            naive_ns: p.a_ns,
+            fast_ns: p.b_ns,
+            naive_gflops: flops / p.a_ns,
+            fast_gflops: flops / p.b_ns,
+            speedup: p.ratio.median,
+            speedup_q1: p.ratio.q1,
+            speedup_q3: p.ratio.q3,
         };
         eprintln!(
             "[conv1d] {:<16} b{batch} {c_in}->{c_out} l{l} k{ksize} d{dilation}  \
@@ -267,11 +266,16 @@ fn main() {
     // The reference column is the per-slice naive/direct loop.
     let mut small_rows = Vec::new();
     let mut small_row = |name: String, shape: String, run: &mut dyn FnMut()| {
-        matmul::set_fast_enabled(false);
-        let reference_ns = bench_ns(target, &mut *run);
-        matmul::set_fast_enabled(true);
-        let fast_ns = bench_ns(target, &mut *run);
-        let row = SmallRow { name, shape, reference_ns, fast_ns, speedup: reference_ns / fast_ns };
+        let p = naive_vs_fast(window, run);
+        let row = SmallRow {
+            name,
+            shape,
+            reference_ns: p.a_ns,
+            fast_ns: p.b_ns,
+            speedup: p.ratio.median,
+            speedup_q1: p.ratio.q1,
+            speedup_q3: p.ratio.q3,
+        };
         eprintln!(
             "[small]  {:<20} {:<22} reference {:>8.0} ns  fast {:>8.0} ns  {:>5.2}x",
             row.name, row.shape, row.reference_ns, row.fast_ns, row.speedup
@@ -356,24 +360,27 @@ fn main() {
     for &(name, shape) in permute_shapes {
         let x = Tensor::new(shape.to_vec(), filled(shape.iter().product(), 1.0));
         for axes in layouts {
-            let naive_ns = bench_ns(target, || {
-                std::hint::black_box(shapeops::naive::permute(&x, axes));
-            });
-            let fast_ns = bench_ns(target, || {
-                std::hint::black_box(shapeops::permute(&x, axes));
+            let p = paired(PAIRS, window, |strided| {
+                if strided {
+                    black_box(shapeops::permute(&x, axes));
+                } else {
+                    black_box(shapeops::naive::permute(&x, axes));
+                }
             });
             let row = PermuteRow {
                 name: format!("{name}_{}{}{}{}", axes[0], axes[1], axes[2], axes[3]),
                 shape: shape.to_vec(),
                 axes: axes.to_vec(),
-                naive_ns,
-                fast_ns,
-                speedup: naive_ns / fast_ns,
+                naive_ns: p.a_ns,
+                fast_ns: p.b_ns,
+                speedup: p.ratio.median,
+                speedup_q1: p.ratio.q1,
+                speedup_q3: p.ratio.q3,
             };
             eprintln!(
-                "[permute] {:<16} {shape:?} by {axes:?}  naive {naive_ns:>8.0} ns  strided \
-                 {fast_ns:>8.0} ns  {:>5.2}x",
-                row.name, row.speedup
+                "[permute] {:<16} {shape:?} by {axes:?}  naive {:>8.0} ns  strided {:>8.0} ns  \
+                 {:>5.2}x",
+                row.name, row.naive_ns, row.fast_ns, row.speedup
             );
             permute_rows.push(row);
         }
@@ -389,18 +396,15 @@ fn main() {
     let cfg = TrainConfig { epochs, max_train_windows: 32, patience: 0, ..TrainConfig::test() };
     let steps = epochs * 32usize.div_ceil(cfg.batch_size);
 
+    let mut train_run = || {
+        let mut fc = Forecaster::new(ah.clone(), dims, &task.data.adjacency, 7);
+        train_forecaster(&mut fc, &task, &cfg);
+    };
     matmul::set_fast_enabled(false);
-    let mut fc = Forecaster::new(ah.clone(), dims, &task.data.adjacency, 7);
-    let t0 = Instant::now();
-    train_forecaster(&mut fc, &task, &cfg);
-    let naive_ns_per_step = t0.elapsed().as_nanos() as f64 / steps as f64;
-
+    let naive_ns_per_step = window_ns(Duration::ZERO, &mut train_run) / steps as f64;
     matmul::set_fast_enabled(true);
-    let mut fc = Forecaster::new(ah, dims, &task.data.adjacency, 7);
     let pool_before = octs_tensor::pool::stats();
-    let t0 = Instant::now();
-    train_forecaster(&mut fc, &task, &cfg);
-    let fast_ns_per_step = t0.elapsed().as_nanos() as f64 / steps as f64;
+    let fast_ns_per_step = window_ns(Duration::ZERO, &mut train_run) / steps as f64;
     let pool = octs_tensor::pool::stats().since(&pool_before);
 
     let train_step = TrainRow {
@@ -437,28 +441,31 @@ fn main() {
         let x = Tensor::new(shape.to_vec(), filled(shape.iter().product(), 1.0));
 
         let mut tape_fc = infer_fixture();
-        let tape_ns = bench_ns(target, || {
-            tape_fc.predict(&x);
-        });
-        let mut tier_ns = Vec::new();
-        for tier in [Precision::Full, Precision::Fused, Precision::Int8] {
-            let mut frozen = FrozenForecaster::new(infer_fixture(), tier);
-            frozen.predict(&x); // compile outside the timed window
-            tier_ns.push(bench_ns(target, || {
-                frozen.predict(&x);
-            }));
-        }
+        let [full, fused, int8] =
+            [Precision::Full, Precision::Fused, Precision::Int8].map(|tier| {
+                let mut frozen = FrozenForecaster::new(infer_fixture(), tier);
+                frozen.predict(&x); // compile outside the timed windows
+                paired(PAIRS, window, |compiled| {
+                    if compiled {
+                        frozen.predict(&x);
+                    } else {
+                        tape_fc.predict(&x);
+                    }
+                })
+            });
         let (g, xin, pred) = infer_fixture().forward_traced(&x);
         let quantized = g.freeze(&xin, &pred, Precision::Int8).quantized_matmuls();
 
         let row = InferRow {
             batch,
-            tape_ns,
-            full_ns: tier_ns[0],
-            fused_ns: tier_ns[1],
-            int8_ns: tier_ns[2],
-            frozen_speedup: tape_ns / tier_ns[1],
-            int8_speedup: tape_ns / tier_ns[2],
+            tape_ns: fused.a_ns,
+            full_ns: full.b_ns,
+            fused_ns: fused.b_ns,
+            int8_ns: int8.b_ns,
+            frozen_speedup: fused.ratio.median,
+            frozen_speedup_q1: fused.ratio.q1,
+            frozen_speedup_q3: fused.ratio.q3,
+            int8_speedup: int8.ratio.median,
             quantized_matmuls: quantized,
         };
         eprintln!(
@@ -475,27 +482,67 @@ fn main() {
         infer_rows.push(row);
     }
 
-    // --- 7. Gates + report ------------------------------------------------
+    // --- 7. Comparator inference and training step (ungated) --------------
+    // One cached-embedding `infer_logit` with and without a task pathway (the
+    // per-comparison cost of ranking), and one 8-pair `train_batch` step.
+    let space = JointSpace::scaled();
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let (a, b) = (space.sample(&mut rng), space.sample(&mut rng));
+    let prelim = Tensor::full([6, 24, 16], 0.1);
+    let mut tahc = Tahc::new(TahcConfig::scaled(), HyperSpace::scaled(), 0);
+    let ahc = Tahc::new(
+        TahcConfig { task_aware: false, ..TahcConfig::scaled() },
+        HyperSpace::scaled(),
+        0,
+    );
+    let mut opt = octs_tensor::Adam::new(1e-3, 5e-4);
+    let batch: Vec<_> =
+        (0..8).map(|i| (Some(&prelim), &a, &b, if i % 2 == 0 { 1.0 } else { 0.0 })).collect();
+    let timed = |name: &str, run: &mut dyn FnMut()| {
+        run(); // warm-up: fills the embedding caches
+        let row = ComparatorRow { name: name.to_string(), ns: window_ns(window, run) };
+        eprintln!("[tahc]   {:<22} {:>10.0} ns", row.name, row.ns);
+        row
+    };
+    let comparator = vec![
+        timed("infer_logit_task", &mut || {
+            black_box(tahc.infer_logit(Some(&prelim), &a, &b));
+        }),
+        timed("infer_logit_no_task", &mut || {
+            black_box(ahc.infer_logit(None, &a, &b));
+        }),
+        timed("train_batch_8pairs", &mut || {
+            black_box(tahc.train_batch(&mut opt, &batch));
+        }),
+    ];
+
+    // --- 8. Gates + report ------------------------------------------------
     let min_matmul_speedup = matmul_rows.iter().map(|r| r.speedup).fold(f64::INFINITY, f64::min);
     let min_frozen_speedup =
         infer_rows.iter().map(|r| r.frozen_speedup).fold(f64::INFINITY, f64::min);
     let report = Report {
-        quick,
+        pairs: PAIRS,
+        window_ms: window.as_secs_f64() * 1e3,
         matmul: matmul_rows,
         conv: conv_rows,
         small: small_rows,
         permute: permute_rows,
         train_step,
         infer: infer_rows,
+        comparator,
         min_matmul_speedup,
         min_frozen_speedup,
         note: "naive = retained reference loops (ops::matmul::naive, ops::conv::direct, \
                ops::shapeops::naive; small rows: the per-slice loops over them); fast = \
                register-blocked packed matmul + im2col conv1d + bit-identical small-shape \
-               matmul/conv1d kernels + strided permute; train row is one \
-               full train_forecaster run divided by optimizer steps; infer rows time one \
-               predict on a 3-block h=8/i=16 forecaster — tape engine vs compiled frozen \
-               plans at each precision tier"
+               matmul/conv1d kernels + strided permute; each speedup is the median of \
+               `pairs` per-pair naive/fast ratios from alternating windows, q1/q3 beside it; \
+               train row is one full train_forecaster run each way divided by optimizer \
+               steps; infer rows time one predict on a 3-block h=8/i=16 forecaster — tape \
+               engine vs compiled frozen plans at each precision tier, each tier paired \
+               against the tape; comparator rows are one ungated window each of a \
+               cached-embedding T-AHC infer_logit (scaled config, with and without a task) \
+               and of one 8-pair train_batch step"
             .to_string(),
     };
     octs_bench::write_report("BENCH_kernels.json", quick, &report);

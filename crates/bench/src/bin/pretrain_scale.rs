@@ -66,7 +66,6 @@ struct CacheReport {
 
 #[derive(Serialize)]
 struct Report {
-    mode: String,
     bank_tasks: usize,
     shard_tasks: usize,
     n_shards: usize,
@@ -336,7 +335,6 @@ fn main() {
     );
 
     let report = Report {
-        mode: if quick { "quick" } else { "full" }.to_string(),
         bank_tasks,
         shard_tasks,
         n_shards,

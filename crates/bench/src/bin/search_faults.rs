@@ -50,7 +50,6 @@ struct ResumeRun {
 
 #[derive(Serialize)]
 struct Report {
-    quick: bool,
     note: String,
     search: SearchRun,
     resume: ResumeRun,
@@ -177,7 +176,6 @@ fn main() {
     let resume = measure_resume();
 
     let report = Report {
-        quick,
         note: "fault_overhead_ratio compares a faulted-pool search (quarantines included) to a \
                healthy-subpool search; resume_secs covers only the work remaining after the kill"
             .to_string(),

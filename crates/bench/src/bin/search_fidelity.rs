@@ -70,7 +70,6 @@ struct SeedRun {
 
 #[derive(Serialize)]
 struct Report {
-    mode: String,
     ladder: LadderConfig,
     full_label_epochs_per_candidate: usize,
     runs: Vec<SeedRun>,
@@ -217,7 +216,6 @@ fn main() {
         runs.iter().filter(|r| r.winner_identical).count() as f64 / runs.len() as f64;
 
     let report = Report {
-        mode: if quick { "quick" } else { "full" }.to_string(),
         ladder,
         full_label_epochs_per_candidate: if quick {
             TrainConfig::test().epochs

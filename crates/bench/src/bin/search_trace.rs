@@ -5,8 +5,9 @@
 //! tracing is purely observational, (b) the NDJSON trace parses and covers
 //! every required span/counter, and (c) tracing overhead on the hot ranking
 //! path stays under 5%: the median traced/plain ratio over
-//! [`OVERHEAD_PAIRS`] back-to-back pairs of `evolve_search` runs, so a slow
-//! spell of the host inflates a few pairs, not the gate.
+//! [`OVERHEAD_PAIRS`] alternating pairs of `evolve_search` runs
+//! ([`octs_bench::paired`]), so a slow spell of the host inflates a few
+//! pairs, not the gate.
 //! Results land in `BENCH_search_trace.json`.
 //!
 //! ```sh
@@ -20,7 +21,7 @@ use octs_model::TrainConfig;
 use octs_search::{autocts_plus_search, evolve_search, AutoCtsPlusConfig, EvolveConfig};
 use octs_space::{HyperSpace, JointSpace};
 use serde::Serialize;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Spans the trace must contain for the run to count as covering the
 /// pipeline (label -> comparator pretrain -> rank -> final training).
@@ -58,7 +59,6 @@ struct PhaseRow {
 
 #[derive(Serialize)]
 struct Report {
-    quick: bool,
     k_s: usize,
     winner_identical: bool,
     trace_lines: usize,
@@ -83,11 +83,6 @@ struct Report {
 fn task() -> ForecastTask {
     let p = DatasetProfile::custom("trace", Domain::Traffic, 4, 220, 24, 0.3, 0.1, 10.0, 23);
     ForecastTask::new(p.generate(0), ForecastSetting::multi(4, 2), 0.6, 0.2, 2)
-}
-
-/// The value at quantile `q` of an ascending-sorted sample (nearest rank).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 fn main() {
@@ -186,29 +181,20 @@ fn main() {
     );
     let ecfg = EvolveConfig { k_s, ..EvolveConfig::scaled() };
 
-    let time_search = |traced: bool| {
+    // The traced run is the A side, so each pair's A/B ratio is its
+    // traced/plain time.
+    let timing = octs_bench::paired(OVERHEAD_PAIRS, Duration::ZERO, |plain| {
         tahc.invalidate_caches();
         let r = octs_obs::Recorder::new();
-        let s = traced.then(|| octs_obs::ObsScope::activate(&r));
-        let t0 = Instant::now();
+        let scope = (!plain).then(|| octs_obs::ObsScope::activate(&r));
         let top = evolve_search(&tahc, None, &big, &ecfg);
-        let secs = t0.elapsed().as_secs_f64();
-        drop(s);
+        drop(scope);
         assert!(!top.is_empty());
-        secs
-    };
-    let (mut plain, mut traced, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..OVERHEAD_PAIRS {
-        plain.push(time_search(false));
-        traced.push(time_search(true));
-        ratios.push(traced.last().unwrap() / plain.last().unwrap());
-    }
-    for v in [&mut plain, &mut traced, &mut ratios] {
-        v.sort_by(f64::total_cmp);
-    }
-    let pct = |q: f64| (quantile(&ratios, q) - 1.0) * 100.0;
-    let (overhead_q1_pct, overhead_pct, overhead_q3_pct) = (pct(0.25), pct(0.5), pct(0.75));
-    let (rank_plain_secs, rank_traced_secs) = (quantile(&plain, 0.5), quantile(&traced, 0.5));
+    });
+    let pct = |ratio: f64| (ratio - 1.0) * 100.0;
+    let (overhead_q1_pct, overhead_pct, overhead_q3_pct) =
+        (pct(timing.ratio.q1), pct(timing.ratio.median), pct(timing.ratio.q3));
+    let (rank_plain_secs, rank_traced_secs) = (timing.b_ns / 1e9, timing.a_ns / 1e9);
     eprintln!(
         "[overhead] {OVERHEAD_PAIRS} pairs: median plain {rank_plain_secs:.3}s traced \
          {rank_traced_secs:.3}s; paired overhead median {overhead_pct:+.2}% \
@@ -216,7 +202,6 @@ fn main() {
     );
 
     let report = Report {
-        quick,
         k_s,
         winner_identical,
         trace_lines: lines.len(),
@@ -235,7 +220,7 @@ fn main() {
         overhead_pct,
         overhead_q1_pct,
         overhead_q3_pct,
-        note: "overhead is the median of per-pair traced/plain ratios over back-to-back \
+        note: "overhead is the median of per-pair traced/plain ratios over alternating \
                evolve_search runs (the hot ranking path), q1/q3 beside it; \
                full-search trace validated for phase coverage and winner determinism; \
                task cache measured on a task-aware ranking (the full per-task search \

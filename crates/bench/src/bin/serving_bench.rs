@@ -90,7 +90,6 @@ struct HeapReport {
 
 #[derive(Serialize)]
 struct Report {
-    quick: bool,
     heap: HeapReport,
     requests_per_client: usize,
     model_params: usize,
@@ -367,7 +366,6 @@ fn main() {
         .fold(f64::NEG_INFINITY, f64::max);
 
     let report = Report {
-        quick,
         heap,
         requests_per_client: requests,
         model_params,

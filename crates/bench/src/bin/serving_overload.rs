@@ -74,7 +74,6 @@ struct Row {
 
 #[derive(Serialize)]
 struct Report {
-    quick: bool,
     model_params: usize,
     capacity_rps: f64,
     clients: usize,
@@ -274,7 +273,6 @@ fn main() {
         rows.iter().find(|r| r.multiplier == 1.0 && r.mode == "shed").map(|r| r.p99_ms).unwrap();
 
     let report = Report {
-        quick,
         model_params,
         capacity_rps: capacity,
         clients: CLIENTS,

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Summarize results/*.csv into win counts, and BENCH_*.json reports into
-one-line digests, for EXPERIMENTS.md."""
+a host line (from each report's header) and a one-line digest, for
+EXPERIMENTS.md. Exits nonzero when a BENCH_*.json does not parse, has no
+header, or lacks a field its digest reads."""
 import csv, glob, json, os, sys
 
 def wins(path, lower_better_metrics=("MAE","RMSE","MAPE%","RRSE"), higher=("CORR",)):
@@ -59,22 +61,20 @@ def bench_digest(name, r):
         agree = sum(1 for row in runs if row.get("winner_identical"))
         taus = [row.get("proxy_vs_full_kendall_tau", 0.0) for row in runs]
         mean_tau = sum(taus) / len(taus) if taus else 0.0
-        return (f"{r.get('mode')} mode: label epochs {r.get('mean_label_epoch_ratio', 0):.1f}x "
+        return (f"label epochs {r.get('mean_label_epoch_ratio', 0):.1f}x "
                 f"cheaper, winner quality ratio {r.get('mean_quality_ratio', 0):.3f}, "
                 f"identical winner {agree}/{len(runs)}, proxy-vs-full tau {mean_tau:.2f}")
     if name == "BENCH_search_parallel.json":
-        cores = r.get("available_cores", 0)
         rows = r.get("tournament", [])
         gated = [row for row in rows if row.get("gate_applied")]
-        sp = ", ".join(f"t={row['threads']}: {row['speedup_vs_serial']:.2f}x"
-                       for row in rows if row.get("threads", 1) > 1)
+        sp = ", ".join(f"t={row['threads']}: {row['speedup_vs_serial']:.2f}x" for row in rows)
         scope = (f"{len(gated)} gated rows" if gated
-                 else "no scaling claim (threads exceed cores)")
-        return f"{cores}-core host, {scope}; tournament {sp}"
+                 else "no scaling claim (quick mode or threads exceed cores)")
+        return f"{scope}; tournament {sp}"
     if name == "BENCH_pretrain_scale.json":
         tps = ", ".join(f"w={row['workers']}: {row['tasks_per_sec']:.0f}/s"
                         for row in r.get("worker_runs", []))
-        return (f"{r.get('mode')} mode: {r.get('bank_tasks', 0)} tasks / "
+        return (f"{r.get('bank_tasks', 0)} tasks / "
                 f"{r.get('n_shards', 0)} shards; label {tps} "
                 f"(bit-identical={r.get('workers_bit_identical')}); streamed rss "
                 f"{r.get('streamed_rss_growth', 0):.2f}x vs in-memory "
@@ -91,10 +91,19 @@ def bench_digest(name, r):
     scalars = {k: v for k, v in r.items() if isinstance(v, (int, float, bool))}
     return ", ".join(f"{k}={v}" for k, v in list(scalars.items())[:6]) or "no scalar fields"
 
+def host_line(h):
+    return (f"rev {h['rev']}, {h['cores']} cores (capacity {h['parallel_capacity']:.2f}), "
+            f"{h['isa']}, {h['mode']} mode")
+
+failed = False
 for path in sorted(glob.glob("BENCH_*.json")):
+    name = os.path.basename(path)
     try:
         with open(path) as f:
             report = json.load(f)
-        print(f"{os.path.basename(path)}: {bench_digest(os.path.basename(path), report)}")
+        print(f"{name}: {host_line(report['header'])}")
+        print(f"  {bench_digest(name, report)}")
     except Exception as e:
-        print(f"{path}: skipped ({e})")
+        print(f"{name}: unreadable report ({e!r})", file=sys.stderr)
+        failed = True
+sys.exit(1 if failed else 0)
